@@ -2,13 +2,12 @@
 //!
 //! The evaluation harness. The [`repro`](../repro/index.html) binary
 //! (`cargo run -p occu-bench --bin repro --release -- all`) regenerates
-//! every table and figure of the paper; the criterion benches under
-//! `benches/` time the components and run the design-choice
-//! ablations listed in DESIGN.md.
+//! every table and figure of the paper and runs the kernel, plan,
+//! quantization, observability and serving gates.
 //!
 //! This library crate hosts the two *application* experiments that
-//! span predictor + scheduler (Fig. 7 and Table VI) and the report
-//! formatting shared by the binary and the benches.
+//! span predictor + scheduler (Fig. 7 and Table VI), the gate studies,
+//! and the report formatting the binary prints.
 
 pub mod apps;
 pub mod fleetgen;

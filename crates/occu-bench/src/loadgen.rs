@@ -32,10 +32,6 @@ pub struct LoadgenConfig {
     /// record`). `false` is the inert baseline the obs-overhead gate
     /// compares against; ignored with `--url`.
     pub telemetry: bool,
-    /// Execute predictions through compiled plans on the in-process
-    /// server (`ServeConfig plan`); `false` runs the tape
-    /// interpreter. Ignored with `--url`.
-    pub plan: bool,
 }
 
 impl Default for LoadgenConfig {
@@ -45,7 +41,6 @@ impl Default for LoadgenConfig {
             requests: 40_000,
             concurrency: 8,
             telemetry: true,
-            plan: true,
         }
     }
 }
@@ -91,7 +86,7 @@ pub struct ServeReport {
     /// server's kernels dispatched to (empty if the scrape failed).
     #[serde(default)]
     pub kernel_isa: String,
-    /// Sum of the `tensor.dispatch.{avx2,fma,avx512,neon}` gauges —
+    /// Sum of the `tensor.dispatch.{avx2,avx512,neon}` gauges —
     /// kernel-level primitive calls that ran on a SIMD path.
     #[serde(default)]
     pub dispatch_simd: u64,
@@ -105,10 +100,6 @@ pub struct ServeReport {
     /// Whether the server ran with request telemetry recording.
     #[serde(default)]
     pub telemetry: bool,
-    /// Whether the in-process server executed compiled plans (always
-    /// false when `--url` drove an external server).
-    #[serde(default)]
-    pub plan: bool,
     /// Server-side per-stage rolling percentiles scraped from the
     /// `serve_stage_us` summaries on `/metrics` (pipeline order;
     /// empty if the scrape failed or telemetry was off).
@@ -567,7 +558,13 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<ServeReport, OccuError> {
     let addr = match &cfg.url {
         Some(url) => url.trim_start_matches("http://").to_string(),
         None => {
-            let dir = std::env::temp_dir().join(format!("occu_loadgen_{}", std::process::id()));
+            // One directory per run: concurrent runs in one process
+            // (parallel tests) must not share or delete each other's
+            // weights file.
+            static RUNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let run = RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("occu_loadgen_{}_{run}", std::process::id()));
             std::fs::create_dir_all(&dir).io_context(dir.display().to_string())?;
             let weights = dir.join("model.json");
             let model = DnnOccu::new(DnnOccuConfig::fast(), 17);
@@ -578,7 +575,6 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<ServeReport, OccuError> {
                     workers: cfg.concurrency.clamp(2, 16),
                     batch_window_us: 200,
                     record: cfg.telemetry,
-                    plan: cfg.plan,
                     ..ServeConfig::default()
                 },
                 registry,
@@ -724,7 +720,6 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<ServeReport, OccuError> {
         dispatch_simd: scraped.dispatch_simd,
         dispatch_scalar: scraped.dispatch_scalar,
         telemetry: cfg.telemetry,
-        plan: cfg.plan && cfg.url.is_none(),
         stages: scraped.stages,
         server_total: scraped.server_total,
         stage_sum_p50_us,
@@ -808,13 +803,12 @@ pub fn render_loadgen(rep: &ServeReport) -> String {
     );
     let _ = writeln!(
         out,
-        "ok/errors/dropped: {}/{}/{}   hot-reload: {} (model v{})   executor: {}",
+        "ok/errors/dropped: {}/{}/{}   hot-reload: {} (model v{})",
         rep.ok,
         rep.errors,
         rep.dropped,
         if rep.reload_ok { "ok" } else { "FAILED" },
         rep.model_version_after,
-        if rep.plan { "compiled plans" } else { "tape interpreter" }
     );
     out
 }

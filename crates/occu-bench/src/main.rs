@@ -27,7 +27,8 @@
 //!
 //! ## Exit codes
 //!
-//! Usage mistakes exit 2. Pipeline failures print one `error:` line
+//! Usage mistakes (including a flag `repro` does not know) exit 2.
+//! Pipeline failures print one `error:` line
 //! and exit with the `OccuError` code for the failure class: 3 io,
 //! 4 parse, 5 shape, 6 config, 7 data. `obs-overhead` exits 1 when
 //! the measured overhead blows its budget; `loadgen` exits 1 when any
@@ -321,13 +322,6 @@ fn run_loadgen(quick: bool, args: &[String]) -> Result<(), CliError> {
             "on" => true,
             "off" => false,
             other => return Err(format!("--telemetry expects on|off, got '{other}'").into()),
-        };
-    }
-    if let Some(v) = flag_value(args, "--plan")? {
-        cfg.plan = match v {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--plan expects on|off, got '{other}'").into()),
         };
     }
     let rep = occu_bench::run_loadgen(&cfg)?;
@@ -657,7 +651,7 @@ fn usage_exit(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: repro [fig2|fig4|fig5|fig45|fig6|fig7|table4|table5|table6|ablation|aggr|device-gen|perf|kernels|plan|quant|obs-overhead|loadgen|fleet|all] [--quick] [--device <name-or-json>] [--out perf_report.json]");
     eprintln!("observability: --trace-out spans.jsonl --metrics-out metrics.json --log-level info");
-    eprintln!("loadgen: --url <host:port> --requests <n> --concurrency <n> --telemetry on|off --plan on|off --out reports/serve_perf.json");
+    eprintln!("loadgen: --url <host:port> --requests <n> --concurrency <n> --telemetry on|off --out reports/serve_perf.json");
     eprintln!("fleet: --requests <per-conn> --rungs 2,4,8 --zipf <s> --seed <u64> --out reports/fleet_perf.json  (multi-tenant ladder + reload + throttle gate)");
     eprintln!("plan: --out reports/plan_perf.json  (bitwise plan-vs-interpreter gate + throughput gate)");
     eprintln!("quant: --out reports/quant_perf.json --compare <prior.json>  (int8 accuracy-drift + speedup gate; --compare checks cross-ISA bitwise stability)");
@@ -711,11 +705,28 @@ fn try_main(cmd: &str, quick: bool, args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Flags that take a value; their values are excluded from
+/// subcommand detection. `--quick` is the only switch.
+const VALUE_FLAGS: &[&str] = &[
+    "--device",
+    "--out",
+    "--workers",
+    "--url",
+    "--requests",
+    "--concurrency",
+    "--telemetry",
+    "--rungs",
+    "--zipf",
+    "--seed",
+    "--compare",
+    "--trace-out",
+    "--metrics-out",
+    "--log-level",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    // Flags that take a value; exclude their values from subcommand
-    // detection.
     let mut positional = None;
     let mut skip_next = false;
     for a in &args {
@@ -723,23 +734,10 @@ fn main() {
             skip_next = false;
             continue;
         }
-        if a == "--device"
-            || a == "--out"
-            || a == "--workers"
-            || a == "--url"
-            || a == "--requests"
-            || a == "--concurrency"
-            || a == "--telemetry"
-            || a == "--plan"
-            || a == "--rungs"
-            || a == "--zipf"
-            || a == "--seed"
-            || a == "--compare"
-            || a == "--trace-out"
-            || a == "--metrics-out"
-            || a == "--log-level"
-        {
+        if VALUE_FLAGS.contains(&a.as_str()) {
             skip_next = true;
+        } else if a.starts_with("--") && a != "--quick" {
+            usage_exit(&format!("unknown flag {a}"));
         } else if !a.starts_with("--") && positional.is_none() {
             positional = Some(a.as_str());
         }

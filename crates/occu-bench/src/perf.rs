@@ -220,9 +220,6 @@ pub fn serve_overhead_study(
             requests,
             concurrency,
             telemetry,
-            // Default serving configuration: the telemetry overhead is
-            // measured on the executor production runs.
-            plan: true,
         };
         Ok(crate::run_loadgen(&cfg)?.throughput_rps)
     };

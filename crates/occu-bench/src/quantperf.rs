@@ -1,6 +1,6 @@
 //! `repro quant` — the quantized-inference acceptance gate.
 //!
-//! Sweeps the whole model zoo three times through the compiled-plan
+//! Sweeps the whole model zoo twice through the compiled-plan
 //! executor — once per [`Precision`] — against the `occu-gpusim`
 //! ground truth, and checks the two promises the int8 tier makes:
 //!
@@ -56,23 +56,20 @@ pub struct QuantModelRow {
     pub n_edges: usize,
     /// Profiled ground-truth occupancy in `[0,1]`.
     pub truth: f32,
-    /// f32 / f16 / int8 plan predictions.
+    /// f32 / int8 plan predictions.
     pub f32_pred: f32,
-    pub f16_pred: f32,
     pub i8_pred: f32,
     /// Raw bits of `i8_pred` — compared across dispatched and
     /// `OCCU_FORCE_SCALAR=1` runs for the bitwise-stability gate.
     pub i8_bits: u32,
     /// Relative error vs truth per precision, percent.
     pub f32_re_pct: f64,
-    pub f16_re_pct: f64,
     pub i8_re_pct: f64,
     /// `(|i8 - truth| - |f32 - truth|) * 100` — signed drift of the
     /// absolute error, in occupancy percentage points.
     pub delta_pp: f64,
     /// Best-of-reps forward per precision, microseconds.
     pub f32_us: f64,
-    pub f16_us: f64,
     pub i8_us: f64,
     /// `f32_us / i8_us`.
     pub speedup: f64,
@@ -95,7 +92,6 @@ pub struct QuantPerfReport {
     pub reps: usize,
     /// Aggregate throughput per precision, predictions/sec.
     pub f32_pred_s: f64,
-    pub f16_pred_s: f64,
     pub i8_pred_s: f64,
     /// `i8_pred_s / f32_pred_s`.
     pub speedup: f64,
@@ -178,26 +174,22 @@ pub fn quant_study(quick: bool, seed: u64) -> QuantPerfReport {
     let device = DeviceSpec::a100();
 
     let mut rows = Vec::new();
-    let mut totals = [0.0f64; 3]; // f32, f16, int8 summed best-times
+    let mut totals = [0.0f64; 2]; // f32, int8 summed best-times
     for &id in ModelId::ALL {
         let sample = occu_core::dataset::make_sample(id, id.default_config(), &device);
         let fg = &sample.features;
         let f32_plan = model.compile_plan_for_with(fg, Precision::F32);
-        let f16_plan = model.compile_plan_for_with(fg, Precision::F16);
         let i8_plan = model.compile_plan_for_with(fg, Precision::Int8);
 
         let f32_pred = f32_plan.predict(fg);
-        let f16_pred = f16_plan.predict(fg);
         let i8_pred = i8_plan.predict(fg);
 
         // Warm each path once (thread-local executor arenas), then
         // time the steady state.
         let f32_us = time_best_us(reps, || f32_plan.predict(fg));
-        let f16_us = time_best_us(reps, || f16_plan.predict(fg));
         let i8_us = time_best_us(reps, || i8_plan.predict(fg));
         totals[0] += f32_us;
-        totals[1] += f16_us;
-        totals[2] += i8_us;
+        totals[1] += i8_us;
 
         let f32_re_pct = rel_err_pct(f32_pred, sample.occupancy);
         let i8_re_pct = rel_err_pct(i8_pred, sample.occupancy);
@@ -208,15 +200,12 @@ pub fn quant_study(quick: bool, seed: u64) -> QuantPerfReport {
             n_edges: fg.edge_src.len(),
             truth: sample.occupancy,
             f32_pred,
-            f16_pred,
             i8_pred,
             i8_bits: i8_pred.to_bits(),
             f32_re_pct,
-            f16_re_pct: rel_err_pct(f16_pred, sample.occupancy),
             i8_re_pct,
             delta_pp: (abs_err(i8_pred) - abs_err(f32_pred)) * 100.0,
             f32_us,
-            f16_us,
             i8_us,
             speedup: f32_us / i8_us.max(1e-9),
         });
@@ -224,8 +213,7 @@ pub fn quant_study(quick: bool, seed: u64) -> QuantPerfReport {
 
     let n = rows.len() as f64;
     let pred_s = |total_us: f64| n / (total_us / 1e6).max(1e-12);
-    let (f32_pred_s, f16_pred_s, i8_pred_s) =
-        (pred_s(totals[0]), pred_s(totals[1]), pred_s(totals[2]));
+    let (f32_pred_s, i8_pred_s) = (pred_s(totals[0]), pred_s(totals[1]));
     QuantPerfReport {
         models: rows.len(),
         isa: occu_tensor::active_isa().name().to_string(),
@@ -234,7 +222,6 @@ pub fn quant_study(quick: bool, seed: u64) -> QuantPerfReport {
         speedup_gate: QUANT_SPEEDUP_GATE,
         reps,
         f32_pred_s,
-        f16_pred_s,
         i8_pred_s,
         speedup: i8_pred_s / f32_pred_s.max(1e-9),
         rows,
@@ -252,13 +239,13 @@ pub fn render_quant(rep: &QuantPerfReport) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<14} {:>7} {:>9} {:>9} {:>9} {:>8} {:>10} {:>10} {:>10} {:>8}",
-        "model", "nodes", "re_f32%", "re_i8%", "delta_pp", "truth", "f32(us)", "f16(us)", "i8(us)", "speedup"
+        "{:<14} {:>7} {:>9} {:>9} {:>9} {:>8} {:>10} {:>10} {:>8}",
+        "model", "nodes", "re_f32%", "re_i8%", "delta_pp", "truth", "f32(us)", "i8(us)", "speedup"
     );
     for r in &rep.rows {
         let _ = writeln!(
             out,
-            "{:<14} {:>7} {:>9.3} {:>9.3} {:>+9.3} {:>8.4} {:>10.1} {:>10.1} {:>10.1} {:>7.2}x",
+            "{:<14} {:>7} {:>9.3} {:>9.3} {:>+9.3} {:>8.4} {:>10.1} {:>10.1} {:>7.2}x",
             r.model,
             r.n_nodes,
             r.f32_re_pct,
@@ -266,16 +253,14 @@ pub fn render_quant(rep: &QuantPerfReport) -> String {
             r.delta_pp,
             r.truth,
             r.f32_us,
-            r.f16_us,
             r.i8_us,
             r.speedup
         );
     }
     let _ = writeln!(
         out,
-        "aggregate: f32 {:.0} / f16 {:.0} / int8 {:.0} pred/s — int8 {:.2}x over f32 (gate {:.2}x, budget {:.1}pp)",
+        "aggregate: f32 {:.0} / int8 {:.0} pred/s — int8 {:.2}x over f32 (gate {:.2}x, budget {:.1}pp)",
         rep.f32_pred_s,
-        rep.f16_pred_s,
         rep.i8_pred_s,
         rep.speedup,
         rep.speedup_gate,
@@ -295,15 +280,12 @@ mod tests {
             n_edges: 9,
             truth: 0.5,
             f32_pred: 0.5,
-            f16_pred: 0.5,
             i8_pred: 0.5,
             i8_bits,
             f32_re_pct: 1.0,
-            f16_re_pct: 1.0,
             i8_re_pct: 1.0 + delta_pp,
             delta_pp,
             f32_us: 100.0,
-            f16_us: 100.0,
             i8_us: 50.0,
             speedup: 2.0,
         }
@@ -318,7 +300,6 @@ mod tests {
             speedup_gate: QUANT_SPEEDUP_GATE,
             reps: 3,
             f32_pred_s: 100.0,
-            f16_pred_s: 100.0,
             i8_pred_s: 100.0 * speedup,
             speedup,
             rows,

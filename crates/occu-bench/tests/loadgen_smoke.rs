@@ -14,11 +14,9 @@ fn loadgen_round_trip_in_process() {
         requests: 400,
         concurrency: 4,
         telemetry: true,
-        plan: true,
     };
     let rep = run_loadgen(&cfg).expect("loadgen run");
     assert_eq!(rep.requests, 400);
-    assert!(rep.plan, "default run must use the compiled-plan executor");
     assert_eq!(rep.errors, 0, "no request may fail");
     assert_eq!(rep.dropped, 0, "no request may be dropped");
     assert_eq!(rep.ok, 400);
@@ -88,11 +86,9 @@ fn loadgen_with_telemetry_off_has_no_stage_data() {
         requests: 200,
         concurrency: 2,
         telemetry: false,
-        plan: false,
     };
     let rep = run_loadgen(&cfg).expect("loadgen run");
     assert_eq!(rep.errors, 0);
-    assert!(!rep.plan, "interpreter fallback must be reported");
     assert_eq!(rep.dropped, 0);
     assert!(!rep.telemetry);
     assert!(rep.slowest.is_empty(), "flight recorder must stay empty");

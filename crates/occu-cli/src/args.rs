@@ -1,5 +1,8 @@
 //! A small flag parser (no external dependency): `--key value` pairs
-//! plus boolean `--flag`s after a positional subcommand.
+//! plus boolean `--flag`s after a positional subcommand. Each
+//! subcommand declares the flags it accepts; any other flag is a usage
+//! error that names it, so a mistyped or retired flag can never
+//! silently swallow the argument after it.
 
 use std::collections::BTreeMap;
 
@@ -14,25 +17,46 @@ pub struct Args {
     switches: Vec<String>,
 }
 
-/// Boolean switches the CLI understands (no value follows them).
-const SWITCHES: &[&str] = &["training", "kernels", "json", "quiet", "plan", "no-plan"];
+/// The flags one subcommand accepts.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Spec {
+    /// Flags followed by a value (`--batch 32`).
+    pub flags: &'static [&'static str],
+    /// Boolean switches (`--json`); no value follows them.
+    pub switches: &'static [&'static str],
+}
+
+/// Flags every subcommand accepts, before or after its name.
+pub const COMMON_FLAGS: &[&str] = &["trace-out", "metrics-out", "log-level"];
 
 impl Args {
-    /// Parses an iterator of arguments (excluding argv[0]).
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Args, String> {
+    /// Parses an iterator of arguments (excluding argv[0]). The first
+    /// positional argument is the subcommand and `spec` gives the flags
+    /// it accepts (`None`: no such subcommand). Before the subcommand
+    /// only [`COMMON_FLAGS`] are accepted.
+    pub fn parse(
+        mut args: impl Iterator<Item = String>,
+        spec: impl Fn(&str) -> Option<Spec>,
+    ) -> Result<Args, String> {
         let mut out = Args::default();
-        let mut it = args.peekable();
-        while let Some(a) = it.next() {
+        let mut accepted = Spec::default();
+        while let Some(a) = args.next() {
             if let Some(name) = a.strip_prefix("--") {
-                if SWITCHES.contains(&name) {
+                if accepted.switches.contains(&name) {
                     out.switches.push(name.to_string());
-                } else {
-                    let value = it
+                } else if COMMON_FLAGS.contains(&name) || accepted.flags.contains(&name) {
+                    let value = args
                         .next()
                         .ok_or_else(|| format!("flag --{name} expects a value"))?;
                     out.flags.entry(name.to_string()).or_default().push(value);
+                } else {
+                    return Err(match &out.command {
+                        Some(command) => format!("unknown flag --{name} for '{command}'"),
+                        None => format!("unknown flag --{name}"),
+                    });
                 }
             } else if out.command.is_none() {
+                accepted = spec(&a).ok_or_else(|| format!("unknown command '{a}'"))?;
                 out.command = Some(a);
             } else {
                 return Err(format!("unexpected positional argument '{a}'"));
@@ -90,8 +114,19 @@ impl Args {
 mod tests {
     use super::*;
 
+    fn spec(command: &str) -> Option<Spec> {
+        let (flags, switches): (&'static [&'static str], &'static [&'static str]) = match command {
+            "profile" => (&["model", "batch"], &["training", "json"]),
+            "train" => (&["test-fraction"], &[]),
+            "serve" => (&["model", "rate"], &[]),
+            "predict" => (&["weights"], &[]),
+            _ => return None,
+        };
+        Some(Spec { flags, switches })
+    }
+
     fn parse(s: &str) -> Result<Args, String> {
-        Args::parse(s.split_whitespace().map(String::from))
+        Args::parse(s.split_whitespace().map(String::from), spec)
     }
 
     #[test]
@@ -141,6 +176,27 @@ mod tests {
         assert_eq!(a.get("model"), Some("b=y.json"));
         assert_eq!(a.get_all("rate"), ["b=50".to_string()]);
         assert!(a.get_all("weight").is_empty());
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_that_name_the_flag() {
+        let e = parse("profile --model LeNet --frobnicate --json").unwrap_err();
+        assert_eq!(e, "unknown flag --frobnicate for 'profile'");
+        // A flag of another subcommand is unknown here too.
+        assert!(parse("predict --weights m.json --batch 3").unwrap_err().contains("--batch"));
+        assert_eq!(parse("--json profile").unwrap_err(), "unknown flag --json");
+    }
+
+    #[test]
+    fn common_flags_work_everywhere() {
+        let a = parse("--log-level warn profile --metrics-out m.json").unwrap();
+        assert_eq!(a.get("log-level"), Some("warn"));
+        assert_eq!(a.get("metrics-out"), Some("m.json"));
+    }
+
+    #[test]
+    fn unknown_command_is_error() {
+        assert_eq!(parse("frobnicate --json").unwrap_err(), "unknown command 'frobnicate'");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! occu devices                                   # list built-in GPUs
 //! occu profile  --model ResNet-50 --batch 32 --device a100 [--training] [--kernels] [--json]
 //! occu train    --out model.json --device a100 --configs 8 --epochs 50 --workers 0
-//! occu predict  --weights model.json --model ResNet-50 --batch 32 --device a100 [--plan]
+//! occu predict  --weights model.json --model ResNet-50 --batch 32 --device a100 [--json]
 //! occu schedule --jobs 24 --gpus 4 [--weights model.json] [--trace jobs.csv] [--seed 1]
-//! occu serve    --weights model.json --port 7071 --threads 4 [--no-plan] [--precision int8]   # batched, cached HTTP server
+//! occu serve    --weights model.json --port 7071 --threads 4 [--precision int8]   # batched, cached HTTP server
 //! occu serve    --model a=x.json --model b=y.json --rate b=200 --weight b=3 --precision b=int8 --shards 4   # multi-model fleet
 //! ```
 //!
@@ -19,16 +19,17 @@
 //!
 //! ## Exit codes
 //!
-//! Usage mistakes (unknown command/flag, missing value) exit 2 with
-//! the usage text. Pipeline failures print one `error:` line — no
-//! backtrace — and exit with the [`OccuError`] code for the failure
-//! class: 3 io, 4 parse, 5 shape, 6 config, 7 data.
+//! Usage mistakes (unknown command, a flag the command does not
+//! accept, missing value) exit 2 with the usage text. Pipeline
+//! failures print one `error:` line — no backtrace — and exit with the
+//! [`OccuError`] code for the failure class: 3 io, 4 parse, 5 shape,
+//! 6 config, 7 data.
 
 #![warn(clippy::unwrap_used)]
 
 mod args;
 
-use args::Args;
+use args::{Args, Spec};
 use occu_core::dataset::{make_sample, Dataset, SEEN_MODELS};
 use occu_core::experiments::ExperimentScale;
 use occu_core::features::featurize;
@@ -60,8 +61,31 @@ impl From<OccuError> for CliError {
     }
 }
 
+/// The flags each subcommand accepts, besides [`args::COMMON_FLAGS`].
+fn flag_spec(command: &str) -> Option<Spec> {
+    let (flags, switches): (&'static [&'static str], &'static [&'static str]) = match command {
+        "models" | "devices" => (&[], &[]),
+        "profile" => (&["model", "batch", "channels", "seq", "device"], &["training", "kernels", "json"]),
+        "train" => (
+            &["out", "device", "configs", "epochs", "hidden", "seed", "workers", "test-fraction"],
+            &["quiet"],
+        ),
+        "predict" => (&["weights", "model", "batch", "channels", "seq", "device"], &["json"]),
+        "schedule" => (&["jobs", "gpus", "seed", "device", "weights", "trace", "save-trace"], &[]),
+        "serve" => (
+            &[
+                "weights", "model", "weight", "rate", "precision", "addr", "port", "threads",
+                "queue", "batch-window-us", "max-batch", "cache", "shards", "slo-us", "recorder",
+            ],
+            &[],
+        ),
+        _ => return None,
+    };
+    Some(Spec { flags, switches })
+}
+
 fn main() {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let args = match Args::parse(std::env::args().skip(1), flag_spec) {
         Ok(a) => a,
         Err(e) => die_usage(&e),
     };
@@ -98,9 +122,9 @@ fn die_usage(msg: &str) -> ! {
     eprintln!("usage: occu <models|devices|profile|train|predict|schedule|serve> [flags]");
     eprintln!("  occu profile  --model ResNet-50 --batch 32 --device a100 [--training] [--kernels] [--json]");
     eprintln!("  occu train    [--out model.json] [--device a100] [--configs 8] [--epochs 50] [--hidden 64] [--workers 0] [--test-fraction 0.2]");
-    eprintln!("  occu predict  --weights model.json --model ResNet-50 [--batch 32] [--device a100] [--plan]");
+    eprintln!("  occu predict  --weights model.json --model ResNet-50 [--batch 32] [--device a100] [--json]");
     eprintln!("  occu schedule [--jobs 24] [--gpus 4] [--weights model.json] [--trace jobs.csv] [--save-trace jobs.csv] [--seed 1]");
-    eprintln!("  occu serve    --weights model.json [--addr 127.0.0.1] [--port 7071] [--threads 4] [--queue 128] [--batch-window-us 1000] [--max-batch 32] [--cache 4096] [--l2-cache 8192] [--shards 2] [--slo-us 5000] [--recorder 256] [--no-plan] [--precision f32|f16|int8]");
+    eprintln!("  occu serve    --weights model.json [--addr 127.0.0.1] [--port 7071] [--threads 4] [--queue 128] [--batch-window-us 1000] [--max-batch 32] [--cache 12288] [--shards 2] [--slo-us 5000] [--recorder 256] [--precision f32|int8]");
     eprintln!("  occu serve    --model a=x.json --model b=y.json [--weight b=3] [--rate b=200] [--precision b=int8] ...   # multi-model fleet (repeatable)");
     eprintln!("--device takes a built-in name or a device-spec JSON path");
     eprintln!("observability (any command): --trace-out spans.jsonl --metrics-out metrics.json --log-level info");
@@ -352,14 +376,9 @@ fn cmd_predict(args: &Args) -> Result<(), CliError> {
     let cfg = config_from(args, model)?;
     let graph = model.build(&cfg);
     let feats = featurize(&graph, &device);
-    // `--plan` runs the compiled-plan executor instead of the tape
-    // interpreter; the two are bitwise-identical, so this is a speed
-    // knob (and a way to smoke-test the plan path from the CLI).
-    let predicted = if args.has("plan") {
-        predictor.compile_plan_for(&feats).predict(&feats)
-    } else {
-        predictor.predict(&feats)
-    };
+    // The compiled plan, as the server runs it (bitwise-equal to the
+    // tape interpreter at f32).
+    let predicted = predictor.compile_plan_for(&feats).predict(&feats);
     if args.has("json") {
         println!(
             "{}",
@@ -368,7 +387,6 @@ fn cmd_predict(args: &Args) -> Result<(), CliError> {
                 "device": device.name,
                 "batch_size": cfg.batch_size,
                 "predicted_occupancy": predicted,
-                "plan": args.has("plan"),
             })
         );
     } else {
@@ -394,7 +412,7 @@ fn name_value<'a>(flag: &str, spec: &'a str) -> Result<(&'a str, &'a str), CliEr
 /// whole global value).
 fn parse_precision(value: &str) -> Result<occu_serve::Precision, CliError> {
     occu_serve::Precision::parse(value).ok_or_else(|| {
-        CliError::Usage(format!("--precision: unknown precision '{value}' (f32, f16, int8)"))
+        CliError::Usage(format!("--precision: unknown precision '{value}' (f32, int8)"))
     })
 }
 
@@ -402,7 +420,7 @@ fn parse_precision(value: &str) -> Result<occu_serve::Precision, CliError> {
 /// single `--weights model.json` (served as tenant `default`) or one
 /// or more `--model name=path` entries, with optional per-tenant
 /// `--weight name=N` fair-share weights, `--rate name=RPS` token
-/// buckets, and `--precision [name=]f32|f16|int8` plan lowering (bare
+/// buckets, and `--precision [name=]f32|int8` plan lowering (bare
 /// value = every tenant, `name=value` = that tenant; per-tenant wins).
 /// The first `--model` is the default tenant for requests that do not
 /// name one.
@@ -416,7 +434,7 @@ fn build_fleet(args: &Args) -> Result<std::sync::Arc<occu_serve::FleetRegistry>,
             }
             Some(_) => {
                 return Err(CliError::Usage(format!(
-                    "--precision expects f32|f16|int8 or name=value, got '{spec}'"
+                    "--precision expects f32|int8 or name=value, got '{spec}'"
                 )))
             }
             None => global_precision = parse_precision(spec)?,
@@ -505,14 +523,10 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         queue_cap: args.usize_or("queue", 128)?,
         batch_window_us: args.usize_or("batch-window-us", 1000)? as u64,
         max_batch: args.usize_or("max-batch", 32)?,
-        cache_cap: args.usize_or("cache", 4096)?,
-        l2_cache_cap: args.usize_or("l2-cache", defaults.l2_cache_cap)?,
+        cache_cap: args.usize_or("cache", defaults.cache_cap)?,
         shards: args.usize_or("shards", defaults.shards)?,
         slo_us: args.f64_or("slo-us", defaults.slo_us)?,
         recorder_cap: args.usize_or("recorder", defaults.recorder_cap)?,
-        // Compiled plans are the default; `--no-plan` falls back to
-        // the tape interpreter for every batch.
-        plan: !args.has("no-plan"),
         ..defaults
     };
     let fleet = build_fleet(args)?;

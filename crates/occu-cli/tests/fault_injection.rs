@@ -46,6 +46,22 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn flags_a_command_does_not_accept_exit_2() {
+    // Retired and misplaced flags are rejected by name instead of
+    // silently swallowing the argument after them.
+    let cases: [(&[&str], &str); 5] = [
+        (&["serve", "--weights", "m.json", "--l2-cache", "8"], "unknown flag --l2-cache"),
+        (&["serve", "--no-plan", "--weights", "m.json"], "unknown flag --no-plan"),
+        (&["predict", "--plan", "--weights", "m.json", "--model", "LeNet"], "unknown flag --plan"),
+        (&["models", "--device", "a100"], "unknown flag --device"),
+        (&["serve", "--weights", "m.json", "--precision", "f16"], "unknown precision 'f16'"),
+    ];
+    for (args, needle) in cases {
+        assert_clean_failure(&occu(args), 2, needle);
+    }
+}
+
+#[test]
 fn serve_rejects_bad_weights_and_config() {
     // Missing weights file: Io, exit 3 — before any socket is bound.
     let out = occu(&["serve", "--weights", "/nonexistent/model.json"]);
@@ -84,17 +100,14 @@ fn corrupt_device_json_exits_4_and_impossible_exits_6() {
     let dir = tmp_dir("device_specs");
     let garbled = dir.join("garbled.json");
     std::fs::write(&garbled, "{ not json").expect("write");
-    let out = occu(&["devices", "--device", garbled.to_str().expect("utf8")]);
-    // `devices` ignores --device; use profile which resolves it.
-    let out2 = occu(&[
+    let out = occu(&[
         "profile",
         "--model",
         "LeNet",
         "--device",
         garbled.to_str().expect("utf8"),
     ]);
-    drop(out);
-    assert_clean_failure(&out2, 4, "invalid input");
+    assert_clean_failure(&out, 4, "invalid input");
 
     // Well-formed JSON with an impossible spec (zero SMs).
     let json = r#"{"name":"bad","arch":"x","sm_count":0,"max_warps_per_sm":64,

@@ -103,10 +103,6 @@ impl PlanCompiler<'_> {
                 let w = self.b.packed_weight(wm);
                 self.b.matmul_packed(x, w, bias)
             }
-            Precision::F16 => {
-                let w = self.b.f16_weight(wm);
-                self.b.matmul_f16(x, w, bias)
-            }
             Precision::Int8 => {
                 let w = self.b.packed_weight_i8(wm);
                 self.b.matmul_packed_i8(x, w, bias)
@@ -250,8 +246,8 @@ impl DnnOccu {
 
     /// [`Self::compile_plan`] with the weight matmuls lowered to the
     /// given numeric tier. `Precision::F32` keeps the bitwise
-    /// plan-vs-interpreter contract; `F16`/`Int8` are accuracy-
-    /// budgeted tiers (see `repro quant`).
+    /// plan-vs-interpreter contract; `Int8` is an accuracy-budgeted
+    /// tier (see `repro quant`).
     pub fn compile_plan_with(
         &self,
         n_nodes: usize,
@@ -366,21 +362,14 @@ mod tests {
         let f32_plan = model.compile_plan_for(&fg);
         let base = f32_plan.predict(&fg);
         assert_eq!(f32_plan.precision(), Precision::F32);
-        for precision in [Precision::F16, Precision::Int8] {
-            let plan = model.compile_plan_for_with(&fg, precision);
-            assert_eq!(plan.precision(), precision);
-            let got = plan.predict(&fg);
-            // Occupancy is in (0, 1]; the quantized tiers must stay
-            // within a small absolute budget of the f32 plan.
-            assert!(
-                (got - base).abs() < 0.05,
-                "{} plan drifted: {got} vs f32 {base}",
-                precision.name()
-            );
-        }
+        let i8_plan = model.compile_plan_for_with(&fg, Precision::Int8);
+        assert_eq!(i8_plan.precision(), Precision::Int8);
+        let got = i8_plan.predict(&fg);
+        // Occupancy is in (0, 1]; the quantized tier must stay within
+        // a small absolute budget of the f32 plan.
+        assert!((got - base).abs() < 0.05, "int8 plan drifted: {got} vs f32 {base}");
         // The int8 tier snapshots different weights: identical output
         // bits would mean the lowering silently fell back to f32.
-        let i8_plan = model.compile_plan_for_with(&fg, Precision::Int8);
         assert_eq!(i8_plan.stats().packed_i8_weights, f32_plan.stats().packed_weights);
         assert_eq!(i8_plan.stats().packed_weights, 0);
     }

@@ -17,22 +17,22 @@
 //!             FairQueue          bounded, weighted-fair dequeue per
 //!                  │             tenant; overflow → 429
 //!                  ▼
-//!           shard collector      (lives in occu-serve) L1 LruCache
-//!                                miss → shared L2 → predict
+//!           shard collector      (lives in occu-serve) shard LruCache
+//!                                miss → compiled-plan predict
 //! ```
 //!
 //! * [`registry`] — the hot-reloadable [`ModelRegistry`] slot
 //!   (moved here from `occu-serve`) plus the multi-tenant
 //!   [`FleetRegistry`] of named [`TenantSlot`]s.
 //! * [`ring`] — a consistent-hash ring with virtual nodes; adding a
-//!   shard remaps only ~1/N of the keyspace, so per-shard L1 caches
-//!   stay warm across topology changes.
+//!   shard remaps only ~1/N of the keyspace, so per-shard result
+//!   caches stay warm across topology changes.
 //! * [`fair`] — a bounded MPMC queue with deficit-weighted
 //!   round-robin dequeue across tenants.
 //! * [`bucket`] — a lazily-refilled token bucket for per-tenant rate
 //!   limits; `Option<TokenBucket>` = unlimited with zero cost.
 //! * [`cache`] — the order-tracked [`LruCache`] with exact
-//!   hit/miss/eviction counters (L1 and L2 prediction tiers).
+//!   hit/miss/eviction counters (the per-shard prediction caches).
 //! * [`plan_cache`] — compiled-plan LRU keyed by graph shape and
 //!   model version; one instance per tenant.
 //!

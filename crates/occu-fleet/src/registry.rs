@@ -150,15 +150,13 @@ pub struct TenantSlot {
 fn precision_code(p: Precision) -> u8 {
     match p {
         Precision::F32 => 0,
-        Precision::F16 => 1,
-        Precision::Int8 => 2,
+        Precision::Int8 => 1,
     }
 }
 
 fn precision_from_code(code: u8) -> Precision {
     match code {
-        1 => Precision::F16,
-        2 => Precision::Int8,
+        1 => Precision::Int8,
         _ => Precision::F32,
     }
 }
@@ -449,8 +447,10 @@ mod tests {
         let quant = fleet.get("quant").expect("quant");
         assert_eq!(plain.precision(), Precision::F32);
         assert_eq!(quant.precision(), Precision::Int8);
-        plain.set_precision(Precision::F16);
-        assert_eq!(plain.precision(), Precision::F16);
+        plain.set_precision(Precision::Int8);
+        assert_eq!(plain.precision(), Precision::Int8);
+        quant.set_precision(Precision::F32);
+        assert_eq!(quant.precision(), Precision::F32);
     }
 
     #[test]

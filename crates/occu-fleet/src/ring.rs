@@ -6,12 +6,12 @@
 //! serving tier:
 //!
 //! 1. **Stickiness** — a given graph fingerprint always lands on the
-//!    same shard, so that shard's L1 prediction cache accumulates
+//!    same shard, so that shard's prediction cache accumulates
 //!    exactly the working set routed to it (no cross-shard
-//!    duplication beyond the shared L2).
+//!    duplication).
 //! 2. **Minimal remap** — growing from M to M+1 shards moves only
 //!    ~1/(M+1) of the keyspace, so resharding does not flush every
-//!    L1 at once. A modulo hash would remap almost everything.
+//!    shard cache at once. A modulo hash would remap almost everything.
 //!
 //! Virtual nodes smooth out the variance of random arc lengths; 64
 //! per shard keeps the per-shard load within a few percent of fair at

@@ -1,7 +1,7 @@
 //! Property test pinning `LruCache` against a naive reference model.
 //!
-//! The serving tier splits its prediction cache into per-shard L1s
-//! and a shared L2 whose aggregate hit/miss/eviction counters feed
+//! The serving tier splits its prediction cache into per-shard LRUs
+//! whose aggregate hit/miss/eviction counters feed
 //! `/metrics` and the loadgen gates — so the counters must be *exact*
 //! under any interleaving of `get` (counts + reorders), `peek`
 //! (counter-neutral, order-neutral), `insert` (may evict), and

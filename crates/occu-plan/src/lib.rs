@@ -30,7 +30,7 @@
 //! that lowers a `DnnOccu` forward pass into a [`Program`] lives in
 //! `occu-core` and drives [`ProgramBuilder`].
 
-use occu_tensor::{matmul_f16_into, matmul_i8_into, F16Matrix, Matrix, PackedB, PackedI8, ScratchArena};
+use occu_tensor::{matmul_i8_into, Matrix, PackedB, PackedI8, ScratchArena};
 
 /// Numeric tier a plan's weight matmuls were lowered to. Tagged on
 /// every [`Program`] so plan caches can key on it — two tenants
@@ -38,18 +38,15 @@ use occu_tensor::{matmul_f16_into, matmul_i8_into, F16Matrix, Matrix, PackedB, P
 /// distinct plans.
 ///
 /// `F32` is the default and keeps the bitwise plan-vs-interpreter
-/// contract. `F16` and `Int8` trade bit equality for memory
-/// (and, for `Int8`, integer-factor throughput) and are validated
-/// against an accuracy budget instead (`repro quant`).
+/// contract. `Int8` trades bit equality for integer-factor
+/// throughput and smaller weights, and is validated against an
+/// accuracy budget instead (`repro quant`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Full-precision packed-panel matmuls; bitwise-equal to the
     /// interpreter.
     #[default]
     F32,
-    /// Weights stored as IEEE binary16, widened exactly at multiply
-    /// time; equals the f32 product of the f16-rounded weights.
-    F16,
     /// Symmetric per-output-channel int8 weights with dynamic per-row
     /// activation quantization; cross-ISA bitwise-stable but not
     /// bitwise-equal to f32.
@@ -61,7 +58,6 @@ impl Precision {
     pub fn name(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
-            Precision::F16 => "f16",
             Precision::Int8 => "int8",
         }
     }
@@ -71,7 +67,6 @@ impl Precision {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "f32" => Some(Precision::F32),
-            "f16" => Some(Precision::F16),
             "int8" => Some(Precision::Int8),
             _ => None,
         }
@@ -175,19 +170,6 @@ pub enum Instr {
         /// Left operand (f32 activations).
         a: Src,
         /// Index into the program's int8 packed-weight table.
-        w: u16,
-        /// Optional row-broadcast bias (plain-weight index).
-        bias: Option<u16>,
-        /// Destination register.
-        dst: u16,
-    },
-    /// `dst = a * widen(f16[w]) (+ bias)` — the f16 storage tier.
-    /// Equals the f32 product of the f16-rounded weight bit for bit
-    /// on every bitwise-exact ISA.
-    MatmulF16 {
-        /// Left operand.
-        a: Src,
-        /// Index into the program's f16 weight table.
         w: u16,
         /// Optional row-broadcast bias (plain-weight index).
         bias: Option<u16>,
@@ -338,7 +320,6 @@ impl Instr {
         match *self {
             Instr::MatmulPacked { dst, .. }
             | Instr::MatmulPackedI8 { dst, .. }
-            | Instr::MatmulF16 { dst, .. }
             | Instr::Matmul { dst, .. }
             | Instr::MatmulTransB { dst, .. }
             | Instr::Add { dst, .. }
@@ -360,7 +341,6 @@ impl Instr {
         match *self {
             Instr::MatmulPacked { a, .. }
             | Instr::MatmulPackedI8 { a, .. }
-            | Instr::MatmulF16 { a, .. }
             | Instr::Unary { a, .. }
             | Instr::SoftmaxRows { a, .. }
             | Instr::LayerNormAffine { a, .. }
@@ -432,8 +412,6 @@ pub struct ProgramStats {
     pub packed_weights: usize,
     /// Pre-packed int8 weight panels.
     pub packed_i8_weights: usize,
-    /// f16 weight snapshots.
-    pub f16_weights: usize,
     /// Plain weight snapshots.
     pub plain_weights: usize,
     /// Total bytes held by weight snapshots (packed + quantized +
@@ -453,7 +431,6 @@ pub struct Program {
     instrs: Vec<Instr>,
     packed: Vec<PackedB>,
     packed_i8: Vec<PackedI8>,
-    f16: Vec<F16Matrix>,
     plain: Vec<Matrix>,
     reg_shapes: Vec<(usize, usize)>,
     /// Registers whose last read is instruction `i`, recycled right
@@ -484,16 +461,14 @@ impl Program {
     pub fn stats(&self) -> ProgramStats {
         let packed_bytes: usize = self.packed.iter().map(|p| p.bytes()).sum();
         let i8_bytes: usize = self.packed_i8.iter().map(|p| p.bytes()).sum();
-        let f16_bytes: usize = self.f16.iter().map(|m| m.bytes()).sum();
         let plain_bytes: usize = self.plain.iter().map(|m| m.len() * 4).sum();
         ProgramStats {
             instrs: self.instrs.len(),
             registers: self.reg_shapes.len(),
             packed_weights: self.packed.len(),
             packed_i8_weights: self.packed_i8.len(),
-            f16_weights: self.f16.len(),
             plain_weights: self.plain.len(),
-            weight_bytes: packed_bytes + i8_bytes + f16_bytes + plain_bytes,
+            weight_bytes: packed_bytes + i8_bytes + plain_bytes,
             n_nodes: self.shapes.n_nodes,
             n_edges: self.shapes.n_edges,
         }
@@ -532,7 +507,6 @@ pub struct ProgramBuilder {
     instrs: Vec<Instr>,
     packed: Vec<PackedB>,
     packed_i8: Vec<PackedI8>,
-    f16: Vec<F16Matrix>,
     plain: Vec<Matrix>,
     reg_shapes: Vec<(usize, usize)>,
     precision: Precision,
@@ -547,7 +521,6 @@ impl ProgramBuilder {
             instrs: Vec::new(),
             packed: Vec::new(),
             packed_i8: Vec::new(),
-            f16: Vec::new(),
             plain: Vec::new(),
             reg_shapes: Vec::new(),
             precision: Precision::F32,
@@ -609,15 +582,6 @@ impl ProgramBuilder {
         id as u16
     }
 
-    /// Rounds a matmul weight to f16 storage, returning its table
-    /// index for [`Self::matmul_f16`].
-    pub fn f16_weight(&mut self, w: &Matrix) -> u16 {
-        let id = self.f16.len();
-        assert!(id < u16::MAX as usize, "plan: f16 weight count overflow");
-        self.f16.push(F16Matrix::from_matrix(w));
-        id as u16
-    }
-
     /// Snapshots a plain weight (bias rows, norm gains, embedding
     /// tables, seed matrices), returning its plain-table index. Use
     /// [`Src::Weight`] to reference it as a general operand.
@@ -656,21 +620,6 @@ impl ProgramBuilder {
             );
         }
         self.emit((ar, n), |dst| Instr::MatmulPackedI8 { a, w, bias, dst })
-    }
-
-    /// Emits `a * widen(f16[w]) (+ bias)`.
-    pub fn matmul_f16(&mut self, a: Src, w: u16, bias: Option<u16>) -> Src {
-        let (ar, ac) = self.shape(a);
-        let (k, n) = self.f16[w as usize].shape();
-        assert_eq!(ac, k, "plan: matmul_f16 inner dim mismatch");
-        if let Some(b) = bias {
-            assert_eq!(
-                self.plain[b as usize].shape(),
-                (1, n),
-                "plan: matmul_f16 bias shape mismatch"
-            );
-        }
-        self.emit((ar, n), |dst| Instr::MatmulF16 { a, w, bias, dst })
     }
 
     /// Emits `a * b`.
@@ -810,7 +759,6 @@ impl ProgramBuilder {
             instrs: self.instrs,
             packed: self.packed,
             packed_i8: self.packed_i8,
-            f16: self.f16,
             plain: self.plain,
             reg_shapes: self.reg_shapes,
             free_after,
@@ -926,16 +874,6 @@ impl Executor {
                 let pw = &p.packed_i8[*w as usize];
                 let mut out = self.arena.take_zeroed(p.reg_shapes[*dst as usize].0, pw.shape().1);
                 matmul_i8_into(av, pw, &mut out);
-                if let Some(b) = bias {
-                    out.add_bias_rowwise(&p.plain[*b as usize]);
-                }
-                out
-            }
-            Instr::MatmulF16 { a, w, bias, dst } => {
-                let av = resolve(regs, p, inp, *a);
-                let fw = &p.f16[*w as usize];
-                let mut out = self.arena.take_zeroed(p.reg_shapes[*dst as usize].0, fw.shape().1);
-                matmul_f16_into(av, fw, &mut out);
                 if let Some(b) = bias {
                     out.add_bias_rowwise(&p.plain[*b as usize]);
                 }
@@ -1270,38 +1208,17 @@ mod tests {
     }
 
     #[test]
-    fn f16_program_matches_f32_matmul_of_rounded_weights_bitwise() {
-        let fx = Fixture::new(0x16, 6, 4);
-        let mut rng = SeededRng::new(22);
-        let w = rand_matrix(&mut rng, 5, 8);
-
-        let mut b = ProgramBuilder::new(fx.shapes);
-        b.set_precision(Precision::F16);
-        let wid = b.f16_weight(&w);
-        let y = b.matmul_f16(Src::Input(InputRef::NodeFeats), wid, None);
-        let prog = b.finish(y);
-        assert_eq!(prog.precision(), Precision::F16);
-        assert_eq!(prog.stats().f16_weights, 1);
-
-        let mut ex = Executor::new();
-        let got = ex.run(&prog, &fx.inputs());
-
-        let widened = F16Matrix::from_matrix(&w).to_matrix();
-        let want = fx.node_feats.matmul(&widened);
-        assert_eq!(got, want, "f16 plan diverged from the f32 product of rounded weights");
-    }
-
-    #[test]
     fn precision_defaults_to_f32_and_names_are_stable() {
         let fx = Fixture::new(0x33, 3, 2);
         let mut b = ProgramBuilder::new(fx.shapes);
         let out = b.unary(Src::Input(InputRef::NodeFeats), UnaryOp::Relu);
         let prog = b.finish(out);
         assert_eq!(prog.precision(), Precision::F32);
-        for p in [Precision::F32, Precision::F16, Precision::Int8] {
+        for p in [Precision::F32, Precision::Int8] {
             assert_eq!(Precision::parse(p.name()), Some(p));
         }
         assert_eq!(Precision::parse("int4"), None);
+        assert_eq!(Precision::parse("f16"), None);
     }
 
     #[test]

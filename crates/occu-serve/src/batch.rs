@@ -6,8 +6,12 @@
 //! weighted round-robin policy, coalescing everything that arrives
 //! within a short window (or until `max_batch`) — then groups the
 //! batch *by tenant*, snapshots each tenant's model once, runs one
-//! `predict_batch` (or compiled-plan sweep) per group, and fans the
-//! scalars back out over per-job reply channels.
+//! compiled-plan sweep per group, and fans the scalars back out over
+//! per-job reply channels.
+//!
+//! A panic while running a group fails only that group: its jobs'
+//! reply senders drop during the unwind, so their workers answer 500
+//! at once, and the collector goes on to the next group.
 //!
 //! The per-tenant model `Arc` is snapshotted once per group, so a
 //! hot-reload that lands mid-batch takes effect on the *next* batch;
@@ -18,10 +22,10 @@
 //! compiled from the model it was batched under — stale plans are
 //! unreachable by construction.
 
-use occu_core::OccuPredictor;
 use occu_core::FeaturizedGraph;
 use occu_fleet::{FairQueue, FleetRegistry};
 use rayon::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
@@ -36,9 +40,6 @@ pub struct BatchConfig {
     pub window: Duration,
     /// Upper bound on jobs per batch; reached → run immediately.
     pub max_batch: usize,
-    /// Execute through the tenant's compiled-plan cache instead of
-    /// the tape interpreter.
-    pub use_plans: bool,
 }
 
 /// One cache-missed prediction waiting for its tenant's model.
@@ -49,7 +50,8 @@ pub struct PredictJob {
     /// batch-window dwell against this.
     pub submitted_at: Instant,
     /// Where the prediction goes. Send failures are ignored — the
-    /// requester may have timed out and hung up.
+    /// requester may have timed out and hung up. Dropped unanswered
+    /// if the job's group panics.
     pub reply: SyncSender<PredictReply>,
 }
 
@@ -61,7 +63,7 @@ pub struct PredictReply {
     pub occupancy: f32,
     /// Submit → model-invocation wait (batch-window dwell), µs.
     pub dwell_us: f64,
-    /// This job's share of its group's `predict_batch` wall time
+    /// This job's share of its group's plan-execution wall time
     /// (total divided evenly across the group), µs.
     pub predict_us: f64,
 }
@@ -130,7 +132,14 @@ impl ShardCollector {
                         if group.is_empty() {
                             continue;
                         }
-                        run_group(&fleet, lane, group, cfg.use_plans);
+                        let size = group.len();
+                        if catch_unwind(AssertUnwindSafe(|| run_group(&fleet, lane, group)))
+                            .is_err()
+                        {
+                            occu_obs::error!(
+                                "serve: shard {shard_id} failed a batch of {size} prediction(s)"
+                            );
+                        }
                     }
                 }
             })
@@ -140,29 +149,25 @@ impl ShardCollector {
 }
 
 /// Executes one tenant's slice of a batch and fans replies out.
-fn run_group(fleet: &FleetRegistry, lane: usize, group: Vec<PredictJob>, use_plans: bool) {
+fn run_group(fleet: &FleetRegistry, lane: usize, group: Vec<PredictJob>) {
     let slot = &fleet.slots()[lane];
     let loaded = slot.registry.current();
+    let precision = slot.precision();
     let exec_start = Instant::now();
     let (feats, meta): (Vec<_>, Vec<_>) = group
         .into_iter()
         .map(|j| (j.features, (j.reply, j.submitted_at)))
         .unzip();
-    let preds: Vec<f32> = if use_plans {
-        // Same fan-out shape as `predict_batch`, but each forward
-        // executes the cached compiled plan for its graph shape
-        // (bitwise-equal to the interpreter; see `occu-core::plan`).
-        feats
-            .par_iter()
-            .map(|fg| {
-                slot.plan_cache
-                    .get_or_compile(&loaded.model, loaded.version, fg, slot.precision())
-                    .predict(fg)
-            })
-            .collect()
-    } else {
-        loaded.model.predict_batch(&feats)
-    };
+    // Each forward executes the cached compiled plan for its graph
+    // shape (bitwise-equal to the tape at f32; see `occu-core::plan`).
+    let preds: Vec<f32> = feats
+        .par_iter()
+        .map(|fg| {
+            slot.plan_cache
+                .get_or_compile(&loaded.model, loaded.version, fg, precision)
+                .predict(fg)
+        })
+        .collect();
     let predict_us = exec_start.elapsed().as_secs_f64() * 1e6 / preds.len().max(1) as f64;
     slot.predictions.fetch_add(preds.len() as u64, Ordering::Relaxed);
     for ((reply, submitted_at), pred) in meta.into_iter().zip(preds) {
@@ -180,5 +185,55 @@ impl Drop for ShardCollector {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ModelRegistry;
+    use occu_core::dataset::make_sample;
+    use occu_core::{DnnOccu, DnnOccuConfig};
+    use occu_gpusim::DeviceSpec;
+    use occu_models::ModelId;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+
+    fn submit(queue: &FairQueue<PredictJob>, features: FeaturizedGraph) -> mpsc::Receiver<PredictReply> {
+        let (reply, rx) = mpsc::sync_channel(1);
+        let job = PredictJob { features, submitted_at: Instant::now(), reply };
+        assert!(queue.push(0, job).is_ok(), "queue has room");
+        rx
+    }
+
+    #[test]
+    fn collector_survives_a_panicking_group() {
+        let model = DnnOccu::new(DnnOccuConfig { hidden: 8, ..DnnOccuConfig::fast() }, 3);
+        let good = make_sample(ModelId::LeNet, ModelId::LeNet.default_config(), &DeviceSpec::a100())
+            .features;
+        let want = model.compile_plan_for(&good).predict(&good);
+        let mut bad = good.clone();
+        bad.edge_src[0] = bad.num_nodes() + 5;
+
+        let fleet = FleetRegistry::single(Arc::new(ModelRegistry::from_model(model, "m.json")));
+        let queue = Arc::new(FairQueue::new(16, &fleet.weights()));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let cfg = BatchConfig { window: Duration::from_micros(100), max_batch: 8 };
+        let collector =
+            ShardCollector::start(0, cfg, fleet, Arc::clone(&queue), Arc::clone(&shutdown));
+
+        // The bad job's group panics: its reply sender is dropped
+        // unanswered, well before any reply timeout.
+        let bad_rx = submit(&queue, bad);
+        match bad_rx.recv_timeout(Duration::from_secs(10)) {
+            Err(RecvTimeoutError::Disconnected) => {}
+            other => panic!("bad job must fail promptly, got {other:?}"),
+        }
+        // The same collector still serves the next job.
+        let good_rx = submit(&queue, good);
+        let reply = good_rx.recv_timeout(Duration::from_secs(10)).expect("valid job answered");
+        assert_eq!(reply.occupancy.to_bits(), want.to_bits());
+
+        shutdown.store(true, Ordering::SeqCst);
+        drop(collector);
     }
 }

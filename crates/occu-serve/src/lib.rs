@@ -20,14 +20,15 @@
 //!        │         │
 //!        │    consistent-hash ring      fingerprint -> shard (stable
 //!        │         │                    across reloads)
-//!        ├── shard L1 LRU cache ───┐    key: tenant + fingerprint/
-//!        │   miss -> shared L2 ────┤         config + device + version
-//!        └────────┬────────────────┘
+//!        └── shard LRU cache           key: tenant + fingerprint/
+//!                 │ miss                     config + device + version
 //!        per-shard fair queue           bounded; weighted round-robin
 //!                 │                     across tenants; full -> 429
 //!          shard collector              coalesces misses into
-//!                 │                     micro-batches (window/max)
-//!          predict_batch()              the parallel predict path
+//!                 │                     micro-batches (window/max);
+//!                 │                     a panicking batch fails with 500s
+//!          compiled plans               per-tenant PlanCache, f32 or
+//!                 │                     int8, one forward per graph
 //!                 │
 //!          ModelRegistry (per tenant)   Arc swap on POST /reload;
 //!                                       in-flight work finishes on

@@ -16,10 +16,9 @@
 //! `Retry-After`), builds the tenant-scoped cache key, and routes it
 //! over a consistent-hash [`HashRing`] to one shard. The route hash
 //! deliberately excludes the model *version*, so a tenant's keys keep
-//! their shard across hot-reloads and the shard's L1 stays warm for
-//! everything the reload did not invalidate. Misses fall through the
-//! shard L1 to a shared L2 (hits promote back into the L1), then
-//! enqueue on the shard's fair queue for the collector.
+//! their shard across hot-reloads and the shard's cache stays warm for
+//! everything the reload did not invalidate. Misses in the shard's
+//! cache enqueue on the shard's fair queue for the collector.
 //!
 //! Shutdown: [`Server::shutdown`] flips the shared flag, joins the
 //! accept thread (no new connections), then joins the workers — which
@@ -86,12 +85,10 @@ pub struct ServeConfig {
     pub batch_window_us: u64,
     /// Max predictions folded into one batch.
     pub max_batch: usize,
-    /// Total L1 prediction-cache budget, split evenly across shards
-    /// (0 disables both cache tiers).
+    /// Total prediction-cache budget, split evenly across shards
+    /// (0 disables caching).
     pub cache_cap: usize,
-    /// Shared L2 prediction-cache capacity, probed on shard-L1 miss.
-    pub l2_cache_cap: usize,
-    /// In-process shard count: each shard owns one L1 cache slice,
+    /// In-process shard count: each shard owns one cache slice,
     /// one fair queue, and one collector thread.
     pub shards: usize,
     /// Max accepted request-body size in bytes.
@@ -109,12 +106,6 @@ pub struct ServeConfig {
     /// windows, flight recorder). `false` is the overhead baseline
     /// measured by `repro obs-overhead`.
     pub record: bool,
-    /// Execute predictions through compiled inference plans (one
-    /// shape-specialized instruction stream per `(graph shape, model
-    /// version)`, with pre-packed weights) instead of the tape
-    /// interpreter. Bitwise-identical results; `false` falls back to
-    /// the interpreter everywhere.
-    pub plan: bool,
 }
 
 impl Default for ServeConfig {
@@ -125,15 +116,13 @@ impl Default for ServeConfig {
             queue_cap: 128,
             batch_window_us: 1000,
             max_batch: 32,
-            cache_cap: 4096,
-            l2_cache_cap: 8192,
+            cache_cap: 12288,
             shards: 2,
             max_body_bytes: 4 * 1024 * 1024,
             slo_us: 5000.0,
             recorder_cap: 256,
             trace_spans: false,
             record: true,
-            plan: true,
         }
     }
 }
@@ -199,10 +188,7 @@ pub struct DrainStats {
     pub throttled: u64,
     /// Successful model reloads.
     pub reloads: u64,
-    /// Prediction-cache counters, aggregated over the shard L1s and
-    /// the shared L2: `hits` counts a hit in either tier, `misses`
-    /// counts full misses (L2 misses — every L1 miss probes the L2,
-    /// so an L1-miss/L2-hit is *not* a miss).
+    /// Prediction-cache counters, summed over the shard caches.
     pub cache: CacheStats,
 }
 
@@ -236,7 +222,7 @@ enum CacheKey {
 /// The shard-routing hash: everything identifying in the cache key
 /// **except the model version**, finished through `splitmix64`.
 /// Excluding the version keeps a key on the same shard across
-/// hot-reloads, so the shard's L1 and collector affinity survive a
+/// hot-reloads, so the shard's cache and collector affinity survive a
 /// version bump instead of re-shuffling the whole fleet.
 fn route_hash(key: &CacheKey) -> u64 {
     use std::collections::hash_map::DefaultHasher;
@@ -347,19 +333,19 @@ impl ObsHandles {
     }
 }
 
-/// One shard: an L1 cache slice plus the bounded fair queue its
+/// One shard: a cache slice plus the bounded fair queue its
 /// collector drains. Shard identity comes from the consistent-hash
 /// ring, so a key always lands on the same shard.
 struct Shard {
     queue: Arc<FairQueue<PredictJob>>,
-    l1: Mutex<LruCache<CacheKey, CachedPrediction>>,
+    cache: Mutex<LruCache<CacheKey, CachedPrediction>>,
 }
 
 impl Shard {
-    fn lock_l1(&self) -> MutexGuard<'_, LruCache<CacheKey, CachedPrediction>> {
+    fn lock_cache(&self) -> MutexGuard<'_, LruCache<CacheKey, CachedPrediction>> {
         // A poisoned cache lock only means a panicking thread held it;
         // the LRU structure is updated atomically enough to reuse.
-        self.l1.lock().unwrap_or_else(|p| p.into_inner())
+        self.cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -368,22 +354,16 @@ struct ServerState {
     fleet: Arc<FleetRegistry>,
     shards: Vec<Shard>,
     ring: HashRing,
-    l2: Mutex<LruCache<CacheKey, CachedPrediction>>,
     shutdown: Arc<AtomicBool>,
     stats: Stats,
     obs: ObsHandles,
     telemetry: Telemetry,
 }
 
-impl ServerState {
-    fn lock_l2(&self) -> MutexGuard<'_, LruCache<CacheKey, CachedPrediction>> {
-        self.l2.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-/// A running server. Dropping without [`Server::shutdown`] still
-/// joins every thread (via the owned handles), but `shutdown` is the
-/// intended exit: it returns the drain statistics.
+/// A running server. Dropping without [`Server::shutdown`] stops it
+/// too, joining only the collectors, but `shutdown` is the intended
+/// exit: it drains every accepted request and returns the drain
+/// statistics.
 pub struct Server {
     state: Arc<ServerState>,
     addr: SocketAddr,
@@ -420,13 +400,10 @@ impl Server {
         let batch_cfg = BatchConfig {
             window: Duration::from_micros(cfg.batch_window_us),
             max_batch: cfg.max_batch,
-            use_plans: cfg.plan,
         };
-        // cache_cap 0 disables caching outright, both tiers; otherwise
-        // the L1 budget is split evenly and every shard gets at least
-        // one slot.
-        let l1_cap = if cfg.cache_cap == 0 { 0 } else { (cfg.cache_cap / cfg.shards).max(1) };
-        let l2_cap = if cfg.cache_cap == 0 { 0 } else { cfg.l2_cache_cap };
+        // cache_cap 0 disables caching outright; otherwise the budget
+        // is split evenly and every shard gets at least one slot.
+        let shard_cap = if cfg.cache_cap == 0 { 0 } else { (cfg.cache_cap / cfg.shards).max(1) };
         let mut shards = Vec::with_capacity(cfg.shards);
         let mut collectors = Vec::with_capacity(cfg.shards);
         for shard_id in 0..cfg.shards {
@@ -438,7 +415,7 @@ impl Server {
                 Arc::clone(&queue),
                 Arc::clone(&shutdown),
             ));
-            shards.push(Shard { queue, l1: Mutex::new(LruCache::new(l1_cap)) });
+            shards.push(Shard { queue, cache: Mutex::new(LruCache::new(shard_cap)) });
         }
         let ring = HashRing::new(cfg.shards as u32);
 
@@ -448,7 +425,6 @@ impl Server {
             fleet,
             shards,
             ring,
-            l2: Mutex::new(LruCache::new(l2_cap)),
             shutdown,
             stats: Stats::default(),
             obs: ObsHandles::new(),
@@ -540,21 +516,25 @@ impl Server {
     }
 }
 
+impl Drop for Server {
+    /// Raises the shutdown flag so the collectors, which join when they
+    /// drop, can exit: a server dropped without [`Server::shutdown`] (a
+    /// test panicking mid-way) would otherwise block forever.
+    fn drop(&mut self) {
+        self.state.shutdown.store(true, Ordering::SeqCst);
+    }
+}
+
 fn snapshot_stats(state: &ServerState) -> DrainStats {
     let mut cache = CacheStats::default();
     for shard in &state.shards {
-        let s = shard.lock_l1().stats();
+        let s = shard.lock_cache().stats();
         cache.hits += s.hits;
+        cache.misses += s.misses;
         cache.evictions += s.evictions;
         cache.len += s.len;
         cache.capacity += s.capacity;
     }
-    let l2 = state.lock_l2().stats();
-    cache.hits += l2.hits;
-    cache.misses = l2.misses; // every L1 miss probes the L2
-    cache.evictions += l2.evictions;
-    cache.len += l2.len;
-    cache.capacity += l2.capacity;
     DrainStats {
         requests: state.stats.requests.load(Ordering::SeqCst),
         errors: state.stats.errors.load(Ordering::SeqCst),
@@ -944,17 +924,9 @@ fn resolve_spec(
         model_version: version,
     };
 
-    // L1: this shard's slice.
     if let Some(hit) =
-        ctx.time(Stage::CacheLookup, || state.shards[shard].lock_l1().get(&key).cloned())
+        ctx.time(Stage::CacheLookup, || state.shards[shard].lock_cache().get(&key).cloned())
     {
-        state.obs.cache_hits.inc();
-        return Ok(Prepared::Done(outcome(hit.occupancy, true, hit.fingerprint)));
-    }
-    // L2: the shared tier; a hit promotes back into the shard L1 so
-    // the next lookup short-circuits (counter-neutral insert).
-    if let Some(hit) = ctx.time(Stage::CacheLookup, || state.lock_l2().get(&key).cloned()) {
-        state.shards[shard].lock_l1().insert(key, hit.clone());
         state.obs.cache_hits.inc();
         return Ok(Prepared::Done(outcome(hit.occupancy, true, hit.fingerprint)));
     }
@@ -1032,9 +1004,14 @@ fn predict_many(
             Ok(Prepared::Done(outcome)) => Ok(outcome),
             Ok(Prepared::Pending { key, shard, rx, mut outcome }) => {
                 let wait_start = ctx.recording().then(Instant::now);
-                let reply = rx
-                    .recv_timeout(REPLY_TIMEOUT)
-                    .map_err(|_| ServeError::internal("prediction timed out"))?;
+                let reply = rx.recv_timeout(REPLY_TIMEOUT).map_err(|e| match e {
+                    RecvTimeoutError::Timeout => ServeError::internal("prediction timed out"),
+                    // The collector dropped the job's reply sender
+                    // without answering: its batch failed.
+                    RecvTimeoutError::Disconnected => {
+                        ServeError::internal("prediction failed")
+                    }
+                })?;
                 if let Some(t0) = wait_start {
                     // The collector reports this job's compute share;
                     // the rest of the wait is batch-window dwell (plus
@@ -1049,11 +1026,7 @@ fn predict_many(
                         occupancy: reply.occupancy,
                         fingerprint: outcome.fingerprint.clone(),
                     };
-                    // Fill both tiers: the L1 for this shard's next
-                    // lookup, the L2 so other shards' Graph-keyed
-                    // duplicates (and post-eviction retries) hit.
-                    state.shards[shard].lock_l1().insert(key.clone(), cached.clone());
-                    state.lock_l2().insert(key, cached);
+                    state.shards[shard].lock_cache().insert(key, cached);
                 });
                 Ok(outcome)
             }
@@ -1189,7 +1162,7 @@ fn handle_reload(
                 None => None,
                 Some(text) => Some(Precision::parse(&text).ok_or_else(|| {
                     ServeError::bad_request(format!(
-                        "unknown precision '{text}' (allowed: f32, f16, int8)"
+                        "unknown precision '{text}' (allowed: f32, int8)"
                     ))
                 })?),
             };
@@ -1256,7 +1229,7 @@ fn plan_stats_total(state: &ServerState) -> CacheStats {
     total
 }
 
-/// Mirrors point-in-time state (cache tiers, arena, kernel dispatch)
+/// Mirrors point-in-time state (caches, arena, kernel dispatch)
 /// into gauges so `/metrics` and `/debug/varz` expose it alongside
 /// the request-path counters.
 fn mirror_gauges(state: &ServerState) {
@@ -1275,7 +1248,6 @@ fn mirror_gauges(state: &ServerState) {
     let disp = occu_tensor::dispatch_counts();
     occu_obs::gauge("tensor.dispatch.scalar").set(disp.scalar as f64);
     occu_obs::gauge("tensor.dispatch.avx2").set(disp.avx2 as f64);
-    occu_obs::gauge("tensor.dispatch.fma").set(disp.fma as f64);
     occu_obs::gauge("tensor.dispatch.avx512").set(disp.avx512 as f64);
     occu_obs::gauge("tensor.dispatch.neon").set(disp.neon as f64);
     // Same thing for the int8 quantized GEMM tier, which has its own
@@ -1291,7 +1263,6 @@ fn mirror_gauges(state: &ServerState) {
     // Compiled-plan caches, summed across tenants: how many shapes
     // are resident and how often the shard collectors reused a plan
     // vs compiled one.
-    occu_obs::gauge("serve.plan.enabled").set(state.cfg.plan as u8 as f64);
     let ps = plan_stats_total(state);
     occu_obs::gauge("serve.plan.cached").set(ps.len as f64);
     occu_obs::gauge("serve.plan.hits").set(ps.hits as f64);
@@ -1360,7 +1331,7 @@ fn render_metrics(state: &ServerState) -> String {
         );
     }
 
-    // Per-shard families: queue depth and the L1 slice.
+    // Per-shard families: queue depth and the cache slice.
     let mut shard_family = |name: &str, kind: &str, value: &dyn Fn(&Shard) -> f64| {
         let _ = writeln!(out, "# TYPE {name} {kind}");
         for (i, shard) in state.shards.iter().enumerate() {
@@ -1368,14 +1339,8 @@ fn render_metrics(state: &ServerState) -> String {
         }
     };
     shard_family("serve_shard_queue_depth", "gauge", &|s| s.queue.len() as f64);
-    shard_family("serve_shard_l1_len", "gauge", &|s| s.lock_l1().stats().len as f64);
-    shard_family("serve_shard_l1_hits", "counter", &|s| s.lock_l1().stats().hits as f64);
-
-    // The shared L2 tier.
-    let l2 = state.lock_l2().stats();
-    let _ = writeln!(out, "# TYPE serve_l2_len gauge\nserve_l2_len {}", l2.len);
-    let _ = writeln!(out, "# TYPE serve_l2_hits counter\nserve_l2_hits {}", l2.hits);
-    let _ = writeln!(out, "# TYPE serve_l2_misses counter\nserve_l2_misses {}", l2.misses);
+    shard_family("serve_shard_cache_len", "gauge", &|s| s.lock_cache().stats().len as f64);
+    shard_family("serve_shard_cache_hits", "counter", &|s| s.lock_cache().stats().hits as f64);
     out
 }
 
@@ -1421,22 +1386,15 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
         .shards
         .iter()
         .map(|shard| {
-            let l1 = shard.lock_l1().stats();
+            let c = shard.lock_cache().stats();
             let mut m = BTreeMap::new();
             m.insert("queue_depth".to_string(), num(shard.queue.len() as f64));
-            m.insert("l1_len".to_string(), num(l1.len as f64));
-            m.insert("l1_hits".to_string(), num(l1.hits as f64));
-            m.insert("l1_evictions".to_string(), num(l1.evictions as f64));
+            m.insert("cache_len".to_string(), num(c.len as f64));
+            m.insert("cache_hits".to_string(), num(c.hits as f64));
+            m.insert("cache_evictions".to_string(), num(c.evictions as f64));
             Value::Object(m)
         })
         .collect();
-
-    let l2 = state.lock_l2().stats();
-    let mut l2_obj = BTreeMap::new();
-    l2_obj.insert("len".to_string(), num(l2.len as f64));
-    l2_obj.insert("hits".to_string(), num(l2.hits as f64));
-    l2_obj.insert("misses".to_string(), num(l2.misses as f64));
-    l2_obj.insert("evictions".to_string(), num(l2.evictions as f64));
 
     let mut cfg = BTreeMap::new();
     cfg.insert("workers".to_string(), num(state.cfg.workers as f64));
@@ -1444,14 +1402,12 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
     cfg.insert("batch_window_us".to_string(), num(state.cfg.batch_window_us as f64));
     cfg.insert("max_batch".to_string(), num(state.cfg.max_batch as f64));
     cfg.insert("cache_cap".to_string(), num(state.cfg.cache_cap as f64));
-    cfg.insert("l2_cache_cap".to_string(), num(state.cfg.l2_cache_cap as f64));
     cfg.insert("shards".to_string(), num(state.cfg.shards as f64));
     cfg.insert("max_body_bytes".to_string(), num(state.cfg.max_body_bytes as f64));
     cfg.insert("slo_us".to_string(), num(state.cfg.slo_us));
     cfg.insert("recorder_cap".to_string(), num(state.cfg.recorder_cap as f64));
     cfg.insert("record".to_string(), Value::Bool(state.cfg.record));
     cfg.insert("trace_spans".to_string(), Value::Bool(state.cfg.trace_spans));
-    cfg.insert("plan".to_string(), Value::Bool(state.cfg.plan));
 
     let mut counters = BTreeMap::new();
     counters.insert("requests".to_string(), num(stats.requests as f64));
@@ -1477,7 +1433,6 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
     let mut dispatch = BTreeMap::new();
     dispatch.insert("scalar".to_string(), num(disp.scalar as f64));
     dispatch.insert("avx2".to_string(), num(disp.avx2 as f64));
-    dispatch.insert("fma".to_string(), num(disp.fma as f64));
     dispatch.insert("avx512".to_string(), num(disp.avx512 as f64));
     dispatch.insert("neon".to_string(), num(disp.neon as f64));
     let qdisp = occu_tensor::quant_dispatch_counts();
@@ -1486,7 +1441,6 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
     dispatch.insert("i8_vnni".to_string(), num(qdisp.vnni as f64));
 
     let mut plan = BTreeMap::new();
-    plan.insert("enabled".to_string(), Value::Bool(state.cfg.plan));
     let ps = plan_stats_total(state);
     plan.insert("cached".to_string(), num(ps.len as f64));
     plan.insert("hits".to_string(), num(ps.hits as f64));
@@ -1505,7 +1459,6 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
     top.insert("model".to_string(), Value::Object(model));
     top.insert("models".to_string(), Value::Object(models));
     top.insert("shards".to_string(), Value::Array(shards));
-    top.insert("l2".to_string(), Value::Object(l2_obj));
     top.insert("isa".to_string(), Value::String(occu_tensor::active_isa().name().to_string()));
     top.insert(
         "quant_isa".to_string(),

@@ -48,7 +48,7 @@ pub enum Stage {
     Featurize = 3,
     /// Micro-batch collection dwell: job submitted → model invoked.
     BatchDwell = 4,
-    /// The request's share of `predict_batch` compute.
+    /// The request's share of its group's plan-execution compute.
     Predict = 5,
     /// Response JSON rendering.
     Serialize = 6,

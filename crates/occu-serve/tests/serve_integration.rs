@@ -360,8 +360,8 @@ fn reload_never_serves_stale_plans() {
     let weights: PathBuf = dir.join("model.json");
     std::fs::write(&weights, tiny_model(1).to_json()).expect("write weights");
 
-    // Plans are on by default; this server compiles a plan for the
-    // LeNet graph shape on the first prediction.
+    // The server compiles a plan for the LeNet graph shape on the
+    // first prediction.
     let registry = Arc::new(ModelRegistry::load(&weights).expect("load"));
     let server = Server::start(
         ServeConfig {
@@ -392,27 +392,24 @@ fn reload_never_serves_stale_plans() {
         "prediction unchanged across reload — stale plan served"
     );
 
-    // The post-reload prediction must match a plan-disabled server
-    // running the interpreter on the same new weights.
-    let interp_registry = Arc::new(ModelRegistry::from_model(tiny_model(2), "interp.json"));
-    let interp = Server::start(
-        ServeConfig {
-            workers: 2,
-            batch_window_us: 200,
-            plan: false,
-            ..ServeConfig::default()
-        },
-        interp_registry,
+    // The post-reload prediction must match the tape interpreter (the
+    // test oracle) running the new weights in-process on the same
+    // graph: LeNet at its default config on the default a100.
+    use occu_core::OccuPredictor;
+    let id = occu_models::ModelId::LeNet;
+    let fg = occu_core::dataset::make_sample(
+        id,
+        id.default_config(),
+        &occu_gpusim::DeviceSpec::a100(),
     )
-    .expect("start interpreter server");
-    let (_, interp_body) = request(interp.local_addr(), "POST", "/predict", spec);
+    .features;
+    let oracle = tiny_model(2).predict(&fg);
     assert_eq!(
-        after_occ.to_bits(),
-        occupancy_of(&interp_body).to_bits(),
-        "recompiled plan diverged from the interpreter: {after} vs {interp_body}"
+        (after_occ as f32).to_bits(),
+        oracle.to_bits(),
+        "recompiled plan diverged from the interpreter: {after} vs {oracle}"
     );
 
-    interp.shutdown();
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -607,7 +604,8 @@ fn fleet_metrics_content_type_and_per_tenant_families() {
     assert!(metrics.contains("serve_tenant_requests{tenant=\"bravo\"} 1"), "dump: {metrics}");
     assert!(metrics.contains("# TYPE serve_tenant_model_version gauge"), "dump: {metrics}");
     assert!(metrics.contains("serve_shard_queue_depth{shard=\"0\"}"), "dump: {metrics}");
-    assert!(metrics.contains("# TYPE serve_l2_hits counter"), "dump: {metrics}");
+    assert!(metrics.contains("# TYPE serve_shard_cache_hits counter"), "dump: {metrics}");
+    assert!(!metrics.contains("serve_l2_"), "no second cache tier: {metrics}");
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -687,10 +685,10 @@ fn fleet_tenants_share_weights_but_not_plans_across_precisions() {
     // `/reload` can switch a tenant's precision in place; the swap is
     // visible in statusz and the next compile is at the new precision.
     let (status, reload) =
-        request(addr, "POST", "/reload", r#"{"model": "quant", "precision": "f16"}"#);
+        request(addr, "POST", "/reload", r#"{"model": "quant", "precision": "f32"}"#);
     assert_eq!(status, 200, "body: {reload}");
-    assert!(reload.contains("\"precision\":\"f16\""), "body: {reload}");
-    assert_eq!(quant_slot.precision(), Precision::F16);
+    assert!(reload.contains("\"precision\":\"f32\""), "body: {reload}");
+    assert_eq!(quant_slot.precision(), Precision::F32);
     let (status, statusz) = request(addr, "GET", "/debug/statusz", "");
     assert_eq!(status, 200);
     let parsed: serde_json::Value = serde_json::from_str(&statusz).expect("statusz is JSON");
@@ -700,13 +698,17 @@ fn fleet_tenants_share_weights_but_not_plans_across_precisions() {
             .and_then(|m| m.get("quant"))
             .and_then(|m| m.get("precision"))
             .and_then(|v| v.as_str()),
-        Some("f16"),
+        Some("f32"),
         "statusz: {statusz}"
     );
-    // Bad precision strings are a 400, not a silent default.
-    let (status, bad) =
-        request(addr, "POST", "/reload", r#"{"model": "quant", "precision": "int4"}"#);
-    assert_eq!(status, 400, "body: {bad}");
+    // Bad precision strings are a 400, not a silent default; f16 is
+    // not a serving tier.
+    for tier in ["int4", "f16"] {
+        let body = format!(r#"{{"model": "quant", "precision": "{tier}"}}"#);
+        let (status, bad) = request(addr, "POST", "/reload", &body);
+        assert_eq!(status, 400, "{tier} body: {bad}");
+    }
+    assert_eq!(quant_slot.precision(), Precision::F32, "a rejected reload changes nothing");
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -751,10 +753,12 @@ fn fleet_statusz_reports_every_resident_model() {
         models["alpha"].get("rate_limit_rps").is_some_and(|v| v.is_null()),
         "unlimited tenants report null: {statusz}"
     );
-    // Shard and shared-cache tiers are visible too.
+    // The shards and their caches are visible too; there is no
+    // second cache tier.
     let shards = parsed.get("shards").and_then(|v| v.as_array()).expect("shards array");
     assert_eq!(shards.len(), 2, "default shard count: {statusz}");
-    assert!(parsed.get("l2").and_then(|v| v.as_object()).is_some(), "l2 object: {statusz}");
+    assert!(shards.iter().all(|s| s.get("cache_len").is_some()), "shard caches: {statusz}");
+    assert!(parsed.get("l2").is_none(), "no l2 object: {statusz}");
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -24,7 +24,7 @@ fn main() {
         let b = Matrix::randn(dim, dim, 1.0, &mut rng);
         let mut out = Matrix::zeros(dim, dim);
         let gflops = |ms: f64| (2.0 * (dim * dim * dim) as f64) / (ms * 1e6);
-        for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx2Fma, Isa::Avx512] {
+        for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
             let ms = best_ms(5, || {
                 a.matmul_into_isa(std::hint::black_box(&b), std::hint::black_box(&mut out), isa);
             });

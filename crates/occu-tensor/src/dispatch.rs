@@ -9,16 +9,11 @@
 //! hot-path primitive branches on that cached [`Isa`]. The same binary
 //! therefore runs everywhere and uses the widest unit the host offers.
 //!
-//! Two environment variables steer the choice, read once at first use:
-//!
-//! * `OCCU_FORCE_SCALAR=1` pins [`Isa::Scalar`] regardless of the CPU.
-//!   The scalar kernels are the bitwise oracle — a forced-scalar run
-//!   must reproduce the SIMD run exactly, which `repro kernels` and
-//!   the proptests in `tests/proptests.rs` verify.
-//! * `OCCU_FMA=1` upgrades AVX2 to [`Isa::Avx2Fma`] when the CPU has
-//!   FMA. Fused multiply-add keeps the intermediate product at full
-//!   precision, so it is *not* bitwise-equal to the scalar chain; the
-//!   opt-in is validated against a relative-error budget instead.
+//! `OCCU_FORCE_SCALAR=1`, read once at first use, pins [`Isa::Scalar`]
+//! regardless of the CPU. The scalar kernels are the bitwise oracle — a
+//! forced-scalar run must reproduce the SIMD run exactly, which `repro
+//! kernels` and the proptests in `tests/proptests.rs` verify. Apart
+//! from that switch the choice follows the CPU features alone.
 //!
 //! When the CPU additionally reports AVX-512 (F and DQ), the GEMM
 //! micro-kernel is upgraded to the 16-lane paired-panel kernel — still
@@ -27,8 +22,8 @@
 //! throughput over the AVX2 kernel, whose 4×8 tile is port-limited.
 //!
 //! Per-ISA dispatch counters (one increment per dispatched primitive
-//! call, not per element) feed the `tensor.dispatch.{avx2,fma,avx512,
-//! neon,scalar}` metrics that `occu-serve` exports and `repro kernels`
+//! call, not per element) feed the `tensor.dispatch.{avx2,avx512,neon,
+//! scalar}` metrics that `occu-serve` exports and `repro kernels`
 //! reports.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,9 +37,6 @@ pub enum Isa {
     /// x86-64 AVX2: 8-lane `f32`, separate mul-then-add (bitwise-equal
     /// to scalar).
     Avx2,
-    /// x86-64 AVX2 + FMA: fused multiply-add, opt-in via `OCCU_FMA=1`;
-    /// validated by a relative-error budget, not bitwise equality.
-    Avx2Fma,
     /// x86-64 AVX-512 (F+DQ): 16-lane `f32` GEMM micro-kernel covering
     /// two packed `NR`-panels per step, separate mul-then-add per lane
     /// (bitwise-equal to scalar). Row-wise primitives stay on the AVX2
@@ -61,16 +53,9 @@ impl Isa {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
-            Isa::Avx2Fma => "avx2+fma",
             Isa::Avx512 => "avx512",
             Isa::Neon => "neon",
         }
-    }
-
-    /// Whether results on this ISA are bitwise-equal to the scalar
-    /// oracle (everything except the FMA opt-in).
-    pub fn is_bitwise_exact(self) -> bool {
-        !matches!(self, Isa::Avx2Fma)
     }
 }
 
@@ -88,11 +73,6 @@ fn detect() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            // The FMA opt-in is explicit, so it wins even over AVX-512
-            // (the user asked for fused arithmetic, not the widest unit).
-            if env_flag("OCCU_FMA") && std::arch::is_x86_feature_detected!("fma") {
-                return Isa::Avx2Fma;
-            }
             if std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512dq")
             {
@@ -111,7 +91,7 @@ fn detect() -> Isa {
 }
 
 /// The ISA every dispatched primitive in this process uses, probed
-/// once on first call (honouring `OCCU_FORCE_SCALAR` / `OCCU_FMA`).
+/// once on first call (honouring `OCCU_FORCE_SCALAR`).
 pub fn active_isa() -> Isa {
     *ACTIVE.get_or_init(detect)
 }
@@ -177,7 +157,6 @@ pub fn quant_isa() -> QuantIsa {
 
 static DISPATCH_SCALAR: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_AVX2: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_FMA: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_AVX512: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_NEON: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_I8_SCALAR: AtomicU64 = AtomicU64::new(0);
@@ -190,7 +169,6 @@ pub(crate) fn note_dispatch(isa: Isa) {
     let c = match isa {
         Isa::Scalar => &DISPATCH_SCALAR,
         Isa::Avx2 => &DISPATCH_AVX2,
-        Isa::Avx2Fma => &DISPATCH_FMA,
         Isa::Avx512 => &DISPATCH_AVX512,
         Isa::Neon => &DISPATCH_NEON,
     };
@@ -206,8 +184,6 @@ pub struct DispatchCounts {
     pub scalar: u64,
     /// Calls that ran the AVX2 mul-then-add kernels.
     pub avx2: u64,
-    /// Calls that ran the opt-in AVX2+FMA kernel.
-    pub fma: u64,
     /// Calls that ran the AVX-512 paired-panel GEMM kernel.
     pub avx512: u64,
     /// Calls that ran the NEON kernels.
@@ -217,12 +193,12 @@ pub struct DispatchCounts {
 impl DispatchCounts {
     /// Sum over all ISAs.
     pub fn total(&self) -> u64 {
-        self.scalar + self.avx2 + self.fma + self.avx512 + self.neon
+        self.scalar + self.avx2 + self.avx512 + self.neon
     }
 
     /// Calls that took any SIMD path.
     pub fn simd(&self) -> u64 {
-        self.avx2 + self.fma + self.avx512 + self.neon
+        self.avx2 + self.avx512 + self.neon
     }
 }
 
@@ -231,7 +207,6 @@ pub fn dispatch_counts() -> DispatchCounts {
     DispatchCounts {
         scalar: DISPATCH_SCALAR.load(Ordering::Relaxed),
         avx2: DISPATCH_AVX2.load(Ordering::Relaxed),
-        fma: DISPATCH_FMA.load(Ordering::Relaxed),
         avx512: DISPATCH_AVX512.load(Ordering::Relaxed),
         neon: DISPATCH_NEON.load(Ordering::Relaxed),
     }
@@ -284,18 +259,8 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Isa::Scalar.name(), "scalar");
         assert_eq!(Isa::Avx2.name(), "avx2");
-        assert_eq!(Isa::Avx2Fma.name(), "avx2+fma");
         assert_eq!(Isa::Avx512.name(), "avx512");
         assert_eq!(Isa::Neon.name(), "neon");
-    }
-
-    #[test]
-    fn exactness_contract() {
-        assert!(Isa::Scalar.is_bitwise_exact());
-        assert!(Isa::Avx2.is_bitwise_exact());
-        assert!(Isa::Avx512.is_bitwise_exact());
-        assert!(Isa::Neon.is_bitwise_exact());
-        assert!(!Isa::Avx2Fma.is_bitwise_exact());
     }
 
     #[test]
@@ -306,7 +271,7 @@ mod tests {
         let after = dispatch_counts();
         assert!(after.scalar > before.scalar);
         assert!(after.avx2 > before.avx2);
-        assert_eq!(after.total(), after.scalar + after.avx2 + after.fma + after.neon);
+        assert_eq!(after.total(), after.scalar + after.avx2 + after.avx512 + after.neon);
     }
 
     #[test]

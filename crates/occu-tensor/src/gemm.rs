@@ -176,7 +176,7 @@ pub(crate) type MicroKernelFn =
 
 /// A resolved micro-kernel: the ISA actually selected, the kernel
 /// entry point, and how many packed `NR`-panels one call consumes
-/// (1 for the 8-wide kernels, 2 for the 512-bit and paired-FMA tiles).
+/// (1 for the 8-wide kernels, 2 for the 512-bit tile).
 #[derive(Clone, Copy)]
 pub(crate) struct KernelSel {
     pub(crate) isa: Isa,
@@ -201,13 +201,7 @@ pub(crate) fn micro_kernel_for(isa: Isa) -> KernelSel {
                 panel_step: 2,
             };
         }
-        if isa == Isa::Avx2Fma
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            return KernelSel { isa, kernel: crate::simd::x86::micro_kernel_fma, panel_step: 2 };
-        }
-        if matches!(isa, Isa::Avx2 | Isa::Avx2Fma | Isa::Avx512)
+        if matches!(isa, Isa::Avx2 | Isa::Avx512)
             && std::arch::is_x86_feature_detected!("avx2")
         {
             return KernelSel {

@@ -15,8 +15,7 @@
 //! * Runtime CPU-feature dispatch ([`active_isa`], [`dispatch_counts`])
 //!   selecting explicit AVX2/NEON micro-kernels for the GEMM inner
 //!   loop and the fused row primitives, with `OCCU_FORCE_SCALAR=1`
-//!   pinning the bitwise scalar oracle and `OCCU_FMA=1` opting into
-//!   the (not bitwise-reproducible) fused-multiply-add GEMM kernel.
+//!   pinning the bitwise scalar oracle.
 //!
 //! Everything is pure CPU code; determinism is preserved by using
 //! explicitly seeded RNGs ([`Matrix::randn`]) so that experiments in
@@ -42,8 +41,7 @@ pub use gemm::{should_parallelize, use_blocked, PackedB, BLOCKED_MIN_MULADDS, KC
 pub use matrix::Matrix;
 pub use ops::{add_into, axpy_into, softmax_in_place};
 pub use quant::{
-    f16_to_f32, f32_to_f16, matmul_f16_into, matmul_i8_into, matmul_i8_into_isa, F16Matrix,
-    PackedI8, QuantizedMatrix, QMAX_A, QMAX_W,
+    matmul_i8_into, matmul_i8_into_isa, PackedI8, QuantizedMatrix, QMAX_A, QMAX_W,
 };
 pub use random::{xavier_uniform, he_normal, SeededRng};
 

@@ -71,17 +71,15 @@ fn lane_sumsq_dev_scalar(xs: &[f32], mean: f32) -> f32 {
     combine_lanes(&lanes)
 }
 
-/// The ISA the row-wise primitives run on. The FMA opt-in only
-/// affects the GEMM micro-kernel (row passes stay on the bitwise
-/// mul-then-add AVX2 code), and the NEON port currently covers only
-/// the GEMM kernel, so those map down.
+/// The ISA the row-wise primitives run on. The NEON port currently
+/// covers only the GEMM kernel, so it maps down to scalar.
 #[inline]
 fn rowwise_isa() -> Isa {
     match dispatch::active_isa() {
         // AVX-512 hosts also run the row passes on the AVX2 code: the
         // fused row primitives are memory-bound, so wider lanes buy
         // nothing there (only the GEMM micro-kernel is 512-bit).
-        Isa::Avx2 | Isa::Avx2Fma | Isa::Avx512 => Isa::Avx2,
+        Isa::Avx2 | Isa::Avx512 => Isa::Avx2,
         Isa::Neon | Isa::Scalar => Isa::Scalar,
     }
 }
@@ -756,28 +754,9 @@ mod tests {
     }
 
     #[test]
-    fn fma_kernel_stays_within_relative_error_budget() {
-        // The FMA kernel never rounds the product before the add, so
-        // it is validated against a tolerance, not bit equality.
-        let a = Matrix::from_fn(37, 95, |r, c| ((r * 3 + c) % 31) as f32 * 0.125 - 1.5);
-        let b = Matrix::from_fn(95, 44, |r, c| ((r + 5 * c) % 29) as f32 * 0.25 - 3.0);
-        let mut scalar = Matrix::zeros(37, 44);
-        a.matmul_into_isa(&b, &mut scalar, Isa::Scalar);
-        let mut fma = Matrix::zeros(37, 44);
-        a.matmul_into_isa(&b, &mut fma, Isa::Avx2Fma);
-        crate::assert_close(&fma, &scalar, 1e-5);
-    }
-
-    #[test]
     fn dispatched_matmul_agrees_with_forced_scalar() {
         // Whatever `active_isa` resolved to on this host, the default
-        // path must reproduce the scalar oracle bit for bit (the FMA
-        // kernel is opt-in and never the default unless OCCU_FMA is
-        // set, in which case this assertion is exactly the point at
-        // which that misconfiguration would surface).
-        if !crate::active_isa().is_bitwise_exact() {
-            return; // explicit OCCU_FMA run: exactness is waived
-        }
+        // path must reproduce the scalar oracle bit for bit.
         let a = Matrix::from_fn(64, 72, |r, c| ((r + 3 * c) % 17) as f32 * 0.5 - 2.0);
         let b = Matrix::from_fn(72, 40, |r, c| ((2 * r + c) % 13) as f32 * 0.25 - 1.0);
         let mut dispatched = Matrix::zeros(64, 40);

@@ -1,17 +1,11 @@
 //! Quantized weight storage and the int8 GEMM tier.
 //!
-//! Two reduced-precision weight formats back the opt-in quantized
-//! serving tier:
-//!
-//! * [`F16Matrix`] — IEEE binary16 storage with on-the-fly widening.
-//!   Halves weight-snapshot memory; the product itself runs on the
-//!   f32 kernels against the widened copy, so results are bitwise
-//!   reproducible across ISAs (widening is exact).
-//! * [`PackedI8`] — symmetric per-output-channel int8 quantization
-//!   with `f32` scales, pre-packed into the same `NR`-wide panel
-//!   geometry the f32 GEMM uses, but with the shared dimension laid
-//!   out in 4-byte quads so one 32-byte load feeds `maddubs`/`dpbusd`
-//!   directly.
+//! One reduced-precision weight format backs the opt-in quantized
+//! serving tier: [`PackedI8`] — symmetric per-output-channel int8
+//! quantization with `f32` scales, pre-packed into the same `NR`-wide
+//! panel geometry the f32 GEMM uses, but with the shared dimension laid
+//! out in 4-byte quads so one 32-byte load feeds `maddubs`/`dpbusd`
+//! directly.
 //!
 //! # Int8 scheme
 //!
@@ -45,7 +39,6 @@
 use crate::dispatch::{note_quant_dispatch, quant_isa, QuantIsa};
 use crate::matrix::Matrix;
 use crate::gemm::NR;
-use std::cell::RefCell;
 
 /// Quantized weight magnitude bound: `maddubs` pair-sums stay within
 /// i16 only when `255 * QMAX_W * 2 <= i16::MAX`.
@@ -154,129 +147,6 @@ impl QuantizedMatrix {
             f32::from(self.data[r * self.cols + c]) * self.scales[r]
         })
     }
-}
-
-// ---------------------------------------------------------------------------
-// f16 storage
-// ---------------------------------------------------------------------------
-
-/// `f32` → IEEE binary16 bits, round-to-nearest-even; overflow maps
-/// to infinity, NaN stays NaN.
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // Inf / NaN: preserve the class, collapse the payload.
-        return if man == 0 { sign | 0x7c00 } else { sign | 0x7e00 };
-    }
-    let e16 = exp - 127 + 15;
-    if e16 >= 0x1f {
-        return sign | 0x7c00; // overflow → ±inf
-    }
-    if e16 <= 0 {
-        if e16 < -10 {
-            return sign; // underflow → ±0
-        }
-        // Subnormal: shift the (implicit-bit-restored) mantissa down.
-        let full = man | 0x0080_0000;
-        let shift = (14 - e16) as u32;
-        let mut h = (full >> shift) as u16;
-        let rem = full & ((1u32 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        if rem > halfway || (rem == halfway && (h & 1) == 1) {
-            h += 1;
-        }
-        return sign | h;
-    }
-    let mut h = ((e16 as u32) << 10) | (man >> 13);
-    let rem = man & 0x1fff;
-    // A mantissa carry rolls into the exponent and, at the top, into
-    // infinity — exactly what RNE requires.
-    if rem > 0x1000 || (rem == 0x1000 && (h & 1) == 1) {
-        h += 1;
-    }
-    sign | h as u16
-}
-
-/// IEEE binary16 bits → `f32` (exact: every f16 value is an f32).
-pub fn f16_to_f32(bits: u16) -> f32 {
-    let sign = (u32::from(bits) & 0x8000) << 16;
-    let exp = (bits >> 10) & 0x1f;
-    let man = u32::from(bits) & 0x03ff;
-    match exp {
-        0 => {
-            if man == 0 {
-                return f32::from_bits(sign);
-            }
-            // Subnormal: renormalize.
-            let mut e: i32 = 127 - 15 + 1;
-            let mut m = man;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            f32::from_bits(sign | ((e as u32) << 23) | ((m & 0x03ff) << 13))
-        }
-        0x1f => f32::from_bits(sign | 0x7f80_0000 | (man << 13)),
-        _ => f32::from_bits(sign | ((u32::from(exp) + 112) << 23) | (man << 13)),
-    }
-}
-
-thread_local! {
-    /// Grow-only widening scratch for [`matmul_f16_into`]; reused
-    /// across calls so the steady state performs no heap allocation.
-    static WIDEN_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A matrix stored as IEEE binary16 bits — half the snapshot memory
-/// of `f32`, widened on the fly at multiply time.
-#[derive(Clone, Debug)]
-pub struct F16Matrix {
-    rows: usize,
-    cols: usize,
-    bits: Vec<u16>,
-}
-
-impl F16Matrix {
-    /// Rounds `m` to f16 storage (RNE per element).
-    pub fn from_matrix(m: &Matrix) -> Self {
-        let (rows, cols) = m.shape();
-        Self { rows, cols, bits: m.data().iter().map(|&v| f32_to_f16(v)).collect() }
-    }
-
-    /// Shape `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Heap bytes held by the f16 snapshot.
-    pub fn bytes(&self) -> usize {
-        self.bits.len() * std::mem::size_of::<u16>()
-    }
-
-    /// Widens to a fresh `f32` matrix (exact).
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.rows, self.cols, self.bits.iter().map(|&b| f16_to_f32(b)).collect())
-    }
-}
-
-/// `out = a * widen(w)`: widens the f16 weight into a thread-local
-/// scratch (exact) and runs the regular dispatched f32 product, so
-/// the result equals the f32 GEMM on the f16-rounded weights bit for
-/// bit on every bitwise-exact ISA.
-pub fn matmul_f16_into(a: &Matrix, w: &F16Matrix, out: &mut Matrix) {
-    assert_eq!(a.cols(), w.rows, "matmul_f16: inner dimension mismatch");
-    assert_eq!(out.shape(), (a.rows(), w.cols), "matmul_f16: output shape mismatch");
-    WIDEN_BUF.with(|cell| {
-        let mut buf = cell.borrow_mut().split_off(0);
-        buf.clear();
-        buf.extend(w.bits.iter().map(|&b| f16_to_f32(b)));
-        let wide = Matrix::from_vec(w.rows, w.cols, buf);
-        a.matmul_into(&wide, out);
-        *cell.borrow_mut() = wide.into_vec();
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -647,46 +517,6 @@ mod tests {
 
     fn random_matrix(rng: &mut SeededRng, r: usize, c: usize, lo: f32, hi: f32) -> Matrix {
         Matrix::from_fn(r, c, |_, _| rng.uniform(lo, hi))
-    }
-
-    #[test]
-    fn f16_round_trips_exact_values() {
-        for v in [0.0f32, -0.0, 1.0, -1.0, 0.5, 1.5, 65504.0, -65504.0, 2.0_f32.powi(-14)] {
-            assert_eq!(f16_to_f32(f32_to_f16(v)), v, "f16 must represent {v} exactly");
-        }
-        assert_eq!(f32_to_f16(-0.0).to_be_bytes()[0] & 0x80, 0x80, "sign of -0 preserved");
-    }
-
-    #[test]
-    fn f16_rounds_to_nearest_even_and_saturates() {
-        // 1 + 2^-11 is exactly halfway between 1.0 and the next f16;
-        // RNE picks the even mantissa (1.0).
-        assert_eq!(f16_to_f32(f32_to_f16(1.0 + 2.0_f32.powi(-11))), 1.0);
-        // Three quarters of the way rounds up.
-        let up = 1.0 + 1.5 * 2.0_f32.powi(-11);
-        assert_eq!(f16_to_f32(f32_to_f16(up)), 1.0 + 2.0_f32.powi(-10));
-        assert_eq!(f32_to_f16(1e6), 0x7c00, "overflow → +inf");
-        assert_eq!(f32_to_f16(-1e6), 0xfc00, "overflow → -inf");
-        assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
-        assert_eq!(f32_to_f16(1e-12), 0, "underflow → +0");
-        // Subnormal round trip.
-        let sub = 2.0_f32.powi(-20);
-        let rt = f16_to_f32(f32_to_f16(sub));
-        assert!((rt - sub).abs() <= 2.0_f32.powi(-24));
-    }
-
-    #[test]
-    fn f16_matmul_equals_f32_on_widened_weights() {
-        let mut rng = SeededRng::new(0xF16);
-        let a = random_matrix(&mut rng, 9, 33, -2.0, 2.0);
-        let w = random_matrix(&mut rng, 33, 21, -1.0, 1.0);
-        let h = F16Matrix::from_matrix(&w);
-        assert_eq!(h.bytes(), 33 * 21 * 2);
-        let mut got = Matrix::zeros(9, 21);
-        matmul_f16_into(&a, &h, &mut got);
-        let mut want = Matrix::zeros(9, 21);
-        a.matmul_into(&h.to_matrix(), &mut want);
-        assert_eq!(got, want, "f16 product must equal f32 product on the widened weights");
     }
 
     #[test]

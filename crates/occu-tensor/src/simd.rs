@@ -4,8 +4,8 @@
 //!
 //! # Determinism contract
 //!
-//! Every kernel here except the FMA variant is **bitwise-equal** to
-//! its scalar counterpart in `gemm.rs`/`ops.rs`:
+//! Every kernel here is **bitwise-equal** to its scalar counterpart in
+//! `gemm.rs`/`ops.rs`:
 //!
 //! * The GEMM micro-kernels vectorize across the output columns — one
 //!   lane per output element (`NR = 8` for AVX2/NEON, two adjacent
@@ -24,12 +24,6 @@
 //! * Elementwise passes (bias add, axpy, the softmax divide, the
 //!   layernorm normalize) map one scalar op to one lane.
 //!
-//! The `fma` micro-kernel fuses the multiply into the add
-//! (`_mm256_fmadd_ps`), keeping the intermediate product unrounded.
-//! That is usually *more* accurate but not bitwise-reproducible
-//! against the scalar oracle, so it is opt-in (`OCCU_FMA=1`) and
-//! validated against a relative-error budget in the proptests.
-//!
 //! # Safety
 //!
 //! All functions are `unsafe fn` with a `#[target_feature]` attribute:
@@ -47,9 +41,8 @@ pub(crate) mod x86 {
     use core::arch::x86_64::*;
 
     // The AVX2 kernels hardcode one 8-lane register per accumulator
-    // row and a 4-row strip (the AVX-512 and paired-FMA kernels, one
-    // 16-lane row over two panels); fail the build if the blocking
-    // changes.
+    // row and a 4-row strip (the AVX-512 kernel, one 16-lane row over
+    // two panels); fail the build if the blocking changes.
     const _: () = assert!(NR == 8 && MR == 4, "AVX2 micro-kernel assumes a 4x8 tile");
 
     /// AVX2 micro-kernel: `C[0..mr, 0..nr] += strip * panel`, bitwise
@@ -157,105 +150,6 @@ pub(crate) mod x86 {
         _mm512_storeu_ps(acc[1].as_mut_ptr(), v1);
         _mm512_storeu_ps(acc[2].as_mut_ptr(), v2);
         _mm512_storeu_ps(acc[3].as_mut_ptr(), v3);
-        for (i, row) in acc.iter().enumerate().take(mr) {
-            c[i * ldc..i * ldc + nr].copy_from_slice(&row[..nr]);
-        }
-    }
-
-    /// AVX2+FMA micro-kernel: fused multiply-adds over **two** adjacent
-    /// packed panels (`nr <= 16`) so the eight accumulator chains hide
-    /// the fmadd latency — four chains alone leave the FMA units half
-    /// idle and measure *slower* than the plain AVX2 kernel. Not
-    /// bitwise-equal to the scalar chain (the product is never rounded
-    /// before the add); gated behind `OCCU_FMA=1` and a relative-error
-    /// budget.
-    ///
-    /// # Safety
-    /// The host CPU must support AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn micro_kernel_fma(
-        mr: usize,
-        nr: usize,
-        pa_strip: &[f32],
-        pb: &[f32],
-        c: &mut [f32],
-        ldc: usize,
-    ) {
-        let kc = pa_strip.len() / MR;
-        if pb.len() < 2 * kc * NR {
-            return fma_single_panel(mr, nr, pa_strip, pb, c, ldc);
-        }
-        let (pb0, pb1) = pb.split_at(kc * NR);
-        let mut acc = [[0.0f32; 2 * NR]; MR];
-        for (i, row) in acc.iter_mut().enumerate().take(mr) {
-            row[..nr].copy_from_slice(&c[i * ldc..i * ldc + nr]);
-        }
-        let mut lo = [
-            _mm256_loadu_ps(acc[0].as_ptr()),
-            _mm256_loadu_ps(acc[1].as_ptr()),
-            _mm256_loadu_ps(acc[2].as_ptr()),
-            _mm256_loadu_ps(acc[3].as_ptr()),
-        ];
-        let mut hi = [
-            _mm256_loadu_ps(acc[0].as_ptr().add(NR)),
-            _mm256_loadu_ps(acc[1].as_ptr().add(NR)),
-            _mm256_loadu_ps(acc[2].as_ptr().add(NR)),
-            _mm256_loadu_ps(acc[3].as_ptr().add(NR)),
-        ];
-        let steps = pa_strip
-            .chunks_exact(MR)
-            .zip(pb0.chunks_exact(NR).zip(pb1.chunks_exact(NR)));
-        for (a, (b0, b1)) in steps {
-            let vb0 = _mm256_loadu_ps(b0.as_ptr());
-            let vb1 = _mm256_loadu_ps(b1.as_ptr());
-            for i in 0..MR {
-                let ai = _mm256_set1_ps(a[i]);
-                lo[i] = _mm256_fmadd_ps(ai, vb0, lo[i]);
-                hi[i] = _mm256_fmadd_ps(ai, vb1, hi[i]);
-            }
-        }
-        for i in 0..MR {
-            _mm256_storeu_ps(acc[i].as_mut_ptr(), lo[i]);
-            _mm256_storeu_ps(acc[i].as_mut_ptr().add(NR), hi[i]);
-        }
-        for (i, row) in acc.iter().enumerate().take(mr) {
-            c[i * ldc..i * ldc + nr].copy_from_slice(&row[..nr]);
-        }
-    }
-
-    /// Single-panel FMA tile walk, used by [`micro_kernel_fma`] for the
-    /// trailing odd panel of a block.
-    ///
-    /// # Safety
-    /// The host CPU must support AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fma_single_panel(
-        mr: usize,
-        nr: usize,
-        pa_strip: &[f32],
-        pb_panel: &[f32],
-        c: &mut [f32],
-        ldc: usize,
-    ) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (i, row) in acc.iter_mut().enumerate().take(mr) {
-            row[..nr].copy_from_slice(&c[i * ldc..i * ldc + nr]);
-        }
-        let mut v0 = _mm256_loadu_ps(acc[0].as_ptr());
-        let mut v1 = _mm256_loadu_ps(acc[1].as_ptr());
-        let mut v2 = _mm256_loadu_ps(acc[2].as_ptr());
-        let mut v3 = _mm256_loadu_ps(acc[3].as_ptr());
-        for (a, b) in pa_strip.chunks_exact(MR).zip(pb_panel.chunks_exact(NR)) {
-            let vb = _mm256_loadu_ps(b.as_ptr());
-            v0 = _mm256_fmadd_ps(_mm256_set1_ps(a[0]), vb, v0);
-            v1 = _mm256_fmadd_ps(_mm256_set1_ps(a[1]), vb, v1);
-            v2 = _mm256_fmadd_ps(_mm256_set1_ps(a[2]), vb, v2);
-            v3 = _mm256_fmadd_ps(_mm256_set1_ps(a[3]), vb, v3);
-        }
-        _mm256_storeu_ps(acc[0].as_mut_ptr(), v0);
-        _mm256_storeu_ps(acc[1].as_mut_ptr(), v1);
-        _mm256_storeu_ps(acc[2].as_mut_ptr(), v2);
-        _mm256_storeu_ps(acc[3].as_mut_ptr(), v3);
         for (i, row) in acc.iter().enumerate().take(mr) {
             c[i * ldc..i * ldc + nr].copy_from_slice(&row[..nr]);
         }
