@@ -21,8 +21,9 @@
 //!
 //! The design favours clarity and determinism over peak throughput:
 //! graphs in the dataset have at most a few thousand nodes, and the
-//! heavy lifting (matmuls) is delegated to the rayon-parallel kernels
-//! in `occu-tensor`.
+//! heavy lifting (matmuls) is delegated to the single-threaded blocked
+//! kernels in `occu-tensor`; parallelism happens across samples, in
+//! the trainer, not inside a product.
 
 pub mod gradcheck;
 pub mod layers;

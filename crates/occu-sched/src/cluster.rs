@@ -342,30 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_records_placements_and_gpu_load_when_enabled() {
-        let pool = jobs(6, 0.3, 0.3);
-        occu_obs::enable();
-        let res = simulate(&pool, &GpuSpec::cluster(2), PackingPolicy::OccuPacking);
-        occu_obs::disable();
-        let snap = occu_obs::metrics_snapshot();
-        match snap.get("sched.placements") {
-            Some(occu_obs::MetricValue::Counter(n)) => assert!(*n >= 6, "all jobs placed: {n}"),
-            other => panic!("placements counter missing: {other:?}"),
-        }
-        assert!(snap.get("sched.gpu0.occupancy_sum").is_some());
-        match snap.get("sched.max_colocation") {
-            Some(occu_obs::MetricValue::Gauge(v)) => assert!(*v >= res.max_colocation as f64),
-            other => panic!("max colocation gauge missing: {other:?}"),
-        }
-        let spans = occu_obs::take_spans();
-        let sim = spans.iter().find(|s| s.name == "sched.simulate").expect("simulate span");
-        assert!(sim
-            .fields
-            .iter()
-            .any(|(k, v)| k == "policy" && *v == occu_obs::FieldVal::Str("occu-packing".into())));
-    }
-
-    #[test]
     fn all_jobs_complete_with_finite_jct() {
         let pool = jobs(10, 0.35, 0.85);
         for policy in PackingPolicy::table6() {

@@ -63,8 +63,8 @@ pub struct PredictReply {
     pub occupancy: f32,
     /// Submit → model-invocation wait (batch-window dwell), µs.
     pub dwell_us: f64,
-    /// This job's share of its group's plan-execution wall time
-    /// (total divided evenly across the group), µs.
+    /// Wall time of this job's own model invocation (plan lookup,
+    /// compiling it on a plan-cache miss, and executing it), µs.
     pub predict_us: f64,
 }
 
@@ -159,21 +159,24 @@ fn run_group(fleet: &FleetRegistry, lane: usize, group: Vec<PredictJob>) {
         .map(|j| (j.features, (j.reply, j.submitted_at)))
         .unzip();
     // Each forward executes the cached compiled plan for its graph
-    // shape (bitwise-equal to the tape at f32; see `occu-core::plan`).
-    let preds: Vec<f32> = feats
+    // shape (bitwise-equal to the tape at f32; see `occu-core::plan`),
+    // timed on the thread that runs it.
+    let preds: Vec<(f32, f64)> = feats
         .par_iter()
         .map(|fg| {
-            slot.plan_cache
+            let start = Instant::now();
+            let pred = slot
+                .plan_cache
                 .get_or_compile(&loaded.model, loaded.version, fg, precision)
-                .predict(fg)
+                .predict(fg);
+            (pred, start.elapsed().as_secs_f64() * 1e6)
         })
         .collect();
-    let predict_us = exec_start.elapsed().as_secs_f64() * 1e6 / preds.len().max(1) as f64;
     slot.predictions.fetch_add(preds.len() as u64, Ordering::Relaxed);
-    for ((reply, submitted_at), pred) in meta.into_iter().zip(preds) {
+    for ((reply, submitted_at), (occupancy, predict_us)) in meta.into_iter().zip(preds) {
         let dwell_us =
             exec_start.saturating_duration_since(submitted_at).as_secs_f64() * 1e6;
-        let _ = reply.send(PredictReply { occupancy: pred, dwell_us, predict_us });
+        let _ = reply.send(PredictReply { occupancy, dwell_us, predict_us });
     }
 }
 

@@ -1013,7 +1013,7 @@ fn predict_many(
                     }
                 })?;
                 if let Some(t0) = wait_start {
-                    // The collector reports this job's compute share;
+                    // The collector reports this job's own compute time;
                     // the rest of the wait is batch-window dwell (plus
                     // channel overhead, charged to dwell as well).
                     let waited_us = t0.elapsed().as_secs_f64() * 1e6;

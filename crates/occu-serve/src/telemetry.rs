@@ -48,7 +48,8 @@ pub enum Stage {
     Featurize = 3,
     /// Micro-batch collection dwell: job submitted → model invoked.
     BatchDwell = 4,
-    /// The request's share of its group's plan-execution compute.
+    /// The request's own model invocation: plan lookup (and compile
+    /// on a plan-cache miss) plus plan execution.
     Predict = 5,
     /// Response JSON rendering.
     Serialize = 6,

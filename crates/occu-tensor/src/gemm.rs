@@ -36,7 +36,6 @@
 //! transposition is absorbed by the packing step.
 
 use crate::dispatch::Isa;
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Row-block height processed per A-packing step (fits L2 with KC).
@@ -64,21 +63,6 @@ pub const BLOCKED_MIN_MULADDS: usize = 16 * 1024;
 /// drift between the kernel and its tests.
 pub const fn use_blocked(m: usize, k: usize, n: usize) -> bool {
     m >= MR && m.saturating_mul(k).saturating_mul(n) >= BLOCKED_MIN_MULADDS
-}
-
-/// Multiply-add count above which fanning rows out across the rayon
-/// pool amortizes the fork. Counting `m*k*n` (not `m` alone) means a
-/// tall-skinny product like `(4, 2048) x (2048, 4)` still qualifies:
-/// each of its few rows carries `k*n` work.
-pub(crate) const PAR_MIN_MULADDS: usize = 32 * 1024;
-
-/// Whether a `(m, k) x (k, n)` product is worth parallelizing.
-///
-/// The decision weighs total multiply-adds so the shared dimension
-/// `k` counts; the old heuristic gated on `m` alone and never
-/// parallelized tall-skinny products.
-pub fn should_parallelize(m: usize, k: usize, n: usize) -> bool {
-    m >= 2 && m.saturating_mul(k).saturating_mul(n) >= PAR_MIN_MULADDS
 }
 
 /// A strided read-only view of a row-major buffer; element `(r, c)`
@@ -247,19 +231,18 @@ fn micro_kernel_scalar(mr: usize, nr: usize, pa_strip: &[f32], pb_panel: &[f32],
     }
 }
 
-/// The inner row sweep for one `(jc, pc)` block whose `B` slab is
-/// already packed in `pb_buf`: packs `A` strips and fires the micro
-/// kernel over every `(strip, panel-group)` pair. Shared verbatim by
-/// the pack-on-the-fly path ([`gemm_rows`]) and the prepacked-weight
-/// path ([`gemm_prepacked_into`]), so the two are the same summation
-/// chain by construction.
+/// The row sweep for one `(jc, pc)` block whose `B` slab is already
+/// packed in `pb_buf`: packs `A` strips and fires the micro kernel
+/// over every `(strip, panel-group)` pair of the `m` output rows.
+/// Shared verbatim by the pack-on-the-fly path ([`gemm_into`]) and
+/// the prepacked-weight path ([`gemm_prepacked_into`]), so the two are
+/// the same summation chain by construction.
 #[allow(clippy::too_many_arguments)]
 fn gemm_block(
     a: View,
     pb_buf: &[f32],
     out: &mut [f32],
-    row0: usize,
-    mrows: usize,
+    m: usize,
     n: usize,
     jc: usize,
     nc: usize,
@@ -269,9 +252,9 @@ fn gemm_block(
     sel: KernelSel,
 ) {
     let panels = nc.div_ceil(NR);
-    for ic in (0..mrows).step_by(MC) {
-        let mc = MC.min(mrows - ic);
-        pack_a(a, row0 + ic, mc, pc, kc, pa_buf);
+    for ic in (0..m).step_by(MC) {
+        let mc = MC.min(m - ic);
+        pack_a(a, ic, mc, pc, kc, pa_buf);
         let strips = mc.div_ceil(MR);
         for s in 0..strips {
             let i0 = s * MR;
@@ -297,36 +280,8 @@ fn gemm_block(
     }
 }
 
-/// Runs the full blocked sweep for the output rows in `rows`,
-/// accumulating into `out` (which holds those rows, `n` wide).
-/// `bufs` is the `(packed A, packed B)` scratch pair; `sel` is the
-/// micro-kernel resolved by [`micro_kernel_for`].
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows(
-    a: View,
-    b: View,
-    out: &mut [f32],
-    rows: std::ops::Range<usize>,
-    n: usize,
-    kdim: usize,
-    bufs: &mut (Vec<f32>, Vec<f32>),
-    sel: KernelSel,
-) {
-    let row0 = rows.start;
-    let mrows = rows.len();
-    let (pa_buf, pb_buf) = bufs;
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..kdim).step_by(KC) {
-            let kc = KC.min(kdim - pc);
-            pack_b(b, pc, kc, jc, nc, pb_buf);
-            gemm_block(a, pb_buf, out, row0, mrows, n, jc, nc, pc, kc, pa_buf, sel);
-        }
-    }
-}
-
 /// A `B` operand packed once, ahead of time, into the exact `(jc, pc)`
-/// slab sequence [`gemm_rows`] would produce on the fly — plus the raw
+/// slab sequence [`gemm_into`] would produce on the fly — plus the raw
 /// row-major values so small products can still take the streaming
 /// loop bit-identically. Built by [`crate::Matrix::prepack_b`]; plans
 /// compiled by `occu-plan` hold one per weight matrix so the per-call
@@ -342,7 +297,7 @@ pub struct PackedB {
     /// Row-major copy of the original operand for the streaming path.
     pub(crate) raw: Vec<f32>,
     /// Packed slabs indexed `jc_index * kblocks + pc_index`, matching
-    /// the `jc`-outer / `pc`-inner traversal of [`gemm_rows`].
+    /// the `jc`-outer / `pc`-inner traversal of [`gemm_into`].
     slabs: Vec<Vec<f32>>,
 }
 
@@ -391,35 +346,28 @@ pub(crate) fn gemm_prepacked_into(
         return;
     }
     let kblocks = kdim.div_ceil(KC).max(1);
-    let sweep = |out: &mut [f32], row0: usize, mrows: usize, pa_buf: &mut Vec<f32>| {
+    PACK_BUFS.with(|bufs| {
+        let pa_buf = &mut bufs.borrow_mut().0;
         for (jci, jc) in (0..n).step_by(NC).enumerate() {
             let nc = NC.min(n - jc);
             for (pci, pc) in (0..kdim).step_by(KC).enumerate() {
                 let kc = KC.min(kdim - pc);
                 let pb_buf = &pb.slabs[jci * kblocks + pci];
-                gemm_block(a, pb_buf, out, row0, mrows, n, jc, nc, pc, kc, pa_buf, sel);
+                gemm_block(a, pb_buf, out, m, n, jc, nc, pc, kc, pa_buf, sel);
             }
         }
-    };
-    let threads = rayon::current_num_threads();
-    if threads > 1 && should_parallelize(m, kdim, n) {
-        let chunk_rows = m.div_ceil(threads).max(MR);
-        out.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(ci, chunk)| {
-            let row0 = ci * chunk_rows;
-            let mrows = chunk.len() / n;
-            PACK_BUFS.with(|bufs| sweep(chunk, row0, mrows, &mut bufs.borrow_mut().0));
-        });
-    } else {
-        PACK_BUFS.with(|bufs| sweep(out, 0, m, &mut bufs.borrow_mut().0));
-    }
+    });
 }
 
 /// `out += A * B` through the packed blocked kernel, where `A` is the
 /// `m x kdim` view `a` and `B` the `kdim x n` view `b`. `out` must be
 /// the full `m x n` row-major buffer (zeroed by the caller for a plain
-/// product). Rows fan out across the rayon pool when the product is
-/// large enough; the per-element summation order is independent of the
-/// row partition, so results are bit-identical at any thread count.
+/// product); `sel` is the micro-kernel resolved by
+/// [`micro_kernel_for`].
+///
+/// Runs entirely on the calling thread. Parallelism lives one level
+/// up, across requests and training samples, whose workers each call
+/// this; fanning rows out here as well would nest thread pools.
 pub(crate) fn gemm_into(
     a: View,
     b: View,
@@ -433,39 +381,22 @@ pub(crate) fn gemm_into(
     if m == 0 || n == 0 {
         return;
     }
-    let threads = rayon::current_num_threads();
-    if threads > 1 && should_parallelize(m, kdim, n) {
-        let chunk_rows = m.div_ceil(threads).max(MR);
-        out.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(ci, chunk)| {
-            let row0 = ci * chunk_rows;
-            let mrows = chunk.len() / n;
-            PACK_BUFS.with(|bufs| {
-                gemm_rows(a, b, chunk, row0..row0 + mrows, n, kdim, &mut bufs.borrow_mut(), sel);
-            });
-        });
-    } else {
-        PACK_BUFS.with(|bufs| {
-            gemm_rows(a, b, out, 0..m, n, kdim, &mut bufs.borrow_mut(), sel);
-        });
-    }
+    PACK_BUFS.with(|bufs| {
+        let (pa_buf, pb_buf) = &mut *bufs.borrow_mut();
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..kdim).step_by(KC) {
+                let kc = KC.min(kdim - pc);
+                pack_b(b, pc, kc, jc, nc, pb_buf);
+                gemm_block(a, pb_buf, out, m, n, jc, nc, pc, kc, pa_buf, sel);
+            }
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn threshold_accounts_for_k() {
-        // Tall-skinny: few rows, huge shared dimension. The old
-        // rows-only gate never parallelized this shape.
-        assert!(should_parallelize(4, 2048, 4));
-        // Plain large product still qualifies.
-        assert!(should_parallelize(128, 64, 96));
-        // Tiny products stay serial.
-        assert!(!should_parallelize(8, 8, 8));
-        // A single row cannot be split across threads.
-        assert!(!should_parallelize(1, 1 << 20, 64));
-    }
 
     #[test]
     fn blocked_gate_is_single_sourced() {

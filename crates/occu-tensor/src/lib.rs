@@ -5,10 +5,11 @@
 //! allocation-conscious surface:
 //!
 //! * [`Matrix`] — the only data type; a 2-D dense array.
-//! * Blocked, cache-friendly matrix multiplication with a
-//!   [rayon](https://docs.rs/rayon)-parallel outer loop
+//! * Blocked, cache-friendly matrix multiplication
 //!   ([`Matrix::matmul`], [`Matrix::matmul_transb`],
-//!   [`Matrix::matmul_transa`]).
+//!   [`Matrix::matmul_transa`]) that runs on the calling thread:
+//!   callers parallelize across requests or training samples, never
+//!   inside one product.
 //! * Elementwise and row-wise primitives (softmax, layer-norm
 //!   statistics, reductions) needed by the neural-network layers in
 //!   `occu-nn`.
@@ -37,7 +38,7 @@ pub use dispatch::{
     active_isa, dispatch_counts, quant_dispatch_counts, quant_isa, DispatchCounts,
     Isa, QuantDispatchCounts, QuantIsa,
 };
-pub use gemm::{should_parallelize, use_blocked, PackedB, BLOCKED_MIN_MULADDS, KC, MC, MR, NC, NR};
+pub use gemm::{use_blocked, PackedB, BLOCKED_MIN_MULADDS, KC, MC, MR, NC, NR};
 pub use matrix::Matrix;
 pub use ops::{add_into, axpy_into, softmax_in_place};
 pub use quant::{

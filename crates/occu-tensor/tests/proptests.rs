@@ -25,11 +25,10 @@ fn matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     })
 }
 
-/// A matmul pair whose dimensions straddle the parallel dispatch
-/// thresholds (`PAR_THRESHOLD_ROWS = 64` rows; `k * n >= 4096`
-/// inner work), so generated cases land on both sides of each
-/// condition and right on the boundary.
-fn threshold_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
+/// A matmul pair whose row count straddles the blocked kernel's
+/// `MC = 64` row-block height, so generated cases fill exactly one
+/// row block, fall just short of it, or spill a short second block.
+fn row_block_matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     (62usize..=66, 28usize..=36, 110usize..=135).prop_flat_map(|(m, k, n)| {
         let a = prop::collection::vec(-1.0f32..1.0, m * k)
             .prop_map(move |d| Matrix::from_vec(m, k, d));
@@ -124,7 +123,7 @@ fn unfused_layernorm(m: &Matrix, eps: f32) -> Matrix {
 }
 
 /// Textbook i-j-k triple loop: the unambiguous reference both matmul
-/// dispatch paths (serial i-k-j and row-parallel) must agree with.
+/// dispatch paths (streaming i-k-j and packed blocked) must agree with.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
@@ -156,18 +155,17 @@ proptest! {
     }
 
     #[test]
-    fn matmul_matches_naive_across_par_threshold((a, b) in threshold_matmul_pair()) {
-        // Row counts straddle PAR_THRESHOLD_ROWS and k*n straddles the
-        // inner-work gate, so this exercises the serial path, the
-        // parallel path, and the exact boundary between them. The two
-        // paths use the same per-row accumulation order, so any
-        // divergence from the reference beyond float tolerance means a
-        // dispatch-path bug (stale rows, wrong chunking, bad offsets).
+    fn matmul_matches_naive_across_row_blocks((a, b) in row_block_matmul_pair()) {
+        // Row counts straddle MC, so the packed kernel's A-packing
+        // sweep ends exactly on, just before, or just after a row-block
+        // boundary. Any divergence from the reference beyond float
+        // tolerance means a row-blocking bug (stale rows, wrong strip
+        // padding, bad output offsets).
         assert_close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-3);
     }
 
     #[test]
-    fn matmul_transb_matches_naive_across_par_threshold((a, b) in threshold_matmul_pair()) {
+    fn matmul_transb_matches_naive_across_row_blocks((a, b) in row_block_matmul_pair()) {
         let bt = b.transpose();
         assert_close(&a.matmul_transb(&bt), &naive_matmul(&a, &b), 1e-3);
     }
