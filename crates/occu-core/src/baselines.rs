@@ -18,7 +18,7 @@ use crate::features::{FeaturizedGraph, EDGE_FEAT_DIM, NODE_FEAT_DIM};
 use crate::gnn::AneeLayer;
 use crate::train::OccuPredictor;
 use occu_graph::OpKind;
-use occu_nn::{Activation, LayerNorm, Linear, LstmCell, Mlp, MultiHeadAttention, ParamStore, Tape, Var};
+use occu_nn::{Activation, LayerNorm, Linear, LstmCell, Mlp, MultiHeadAttention, ParamStore, Recorder, Tape, Var};
 use occu_tensor::{Matrix, SeededRng};
 
 /// Longest node sequence the sequential baselines consume; longer

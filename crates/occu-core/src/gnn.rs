@@ -3,7 +3,9 @@
 
 use crate::features::{FeaturizedGraph, DEGREE_BUCKETS, EDGE_FEAT_DIM, GLOBAL_FEAT_DIM, NODE_FEAT_DIM, SPD_CAP};
 use crate::train::OccuPredictor;
-use occu_nn::{Activation, FeedForward, LayerNorm, Linear, Mlp, MultiHeadAttention, ParamId, ParamStore, Tape, Var};
+use occu_nn::{
+    Activation, FeedForward, LayerNorm, Linear, Mlp, MultiHeadAttention, ParamId, ParamStore, Recorder, Tape, Var,
+};
 use occu_tensor::{Matrix, SeededRng};
 
 /// Hyperparameters of the DNN-occu network.
@@ -72,11 +74,11 @@ impl Default for DnnOccuConfig {
 /// h_u  = LeakyReLU(Σ_{l=(u',u)} f(u', l))      (aggregate at target)
 /// ```
 pub struct AneeLayer {
-    pub(crate) w_u: Linear,
-    pub(crate) w_e: Linear,
-    pub(crate) w_m: Linear,
-    pub(crate) a: ParamId,
-    pub(crate) slope: f32,
+    w_u: Linear,
+    w_e: Linear,
+    w_m: Linear,
+    a: ParamId,
+    slope: f32,
 }
 
 impl AneeLayer {
@@ -101,42 +103,43 @@ impl AneeLayer {
     }
 
     /// One message-passing round. Returns `(node_embed, edge_embed)`.
-    pub fn forward(
+    pub fn forward<R: Recorder>(
         &self,
-        tape: &mut Tape,
+        r: &mut R,
         store: &ParamStore,
-        nodes: Var,
-        edges: Var,
-        src: &[usize],
-        dst: &[usize],
-    ) -> (Var, Var) {
-        let n = tape.shape(nodes).0;
+        nodes: R::V,
+        edges: R::V,
+        src: R::Idx<'_>,
+        dst: R::Idx<'_>,
+    ) -> (R::V, R::V) {
+        let n = r.shape(nodes).0;
+        let leaky = Activation::LeakyRelu(self.slope);
         // h̄ = LeakyReLU(W_u h)
-        let h_bar = self.w_u.forward(tape, store, nodes);
-        let h_bar = tape.leaky_relu(h_bar, self.slope);
+        let h_bar = self.w_u.forward(r, store, nodes);
+        let h_bar = r.activation(leaky, h_bar);
         // Per-edge attention scalar aᵀ(h̄_s ‖ h̄_d).
-        let hs = tape.gather_rows(h_bar, src);
-        let hd = tape.gather_rows(h_bar, dst);
-        let cat = tape.hcat(hs, hd);
-        let a = tape.param(store, self.a);
-        let alpha = tape.matmul(cat, a); // E x 1
+        let hs = r.gather_rows(h_bar, src);
+        let hd = r.gather_rows(h_bar, dst);
+        let cat = r.hcat(hs, hd);
+        let a = r.param(store, self.a);
+        let alpha = r.matmul(cat, a); // E x 1
         // e' = σ(α ⊙ (W_e e)) — the per-edge scalar gates each row
         // directly, without materializing an E x hidden broadcast of α.
-        let e_trans = self.w_e.forward(tape, store, edges);
-        let gated = tape.mul_col_broadcast(e_trans, alpha);
-        let e_new = tape.sigmoid(gated);
+        let e_trans = self.w_e.forward(r, store, edges);
+        let gated = r.mul_col_broadcast(e_trans, alpha);
+        let e_new = r.activation(Activation::Sigmoid, gated);
         // f = Softmax(W_m e') ⊙ h̄_src ; aggregate at dst.
-        let gate = self.w_m.forward(tape, store, e_new);
-        let gate = tape.softmax_rows(gate);
-        let msg = tape.mul(gate, hs);
-        let agg = tape.scatter_add_rows(msg, dst, n);
+        let gate = self.w_m.forward(r, store, e_new);
+        let gate = r.softmax_rows(gate);
+        let msg = r.mul(gate, hs);
+        let agg = r.scatter_add_rows(msg, dst, n);
         // Self term: the paper's equation aggregates incoming messages
         // only, which would zero out source (in-degree-0) nodes and
         // discard every node's own transformed features; including
         // h̄_u in the sum (equivalent to a self-loop edge) fixes both
         // without changing the messages.
-        let agg = tape.add(agg, h_bar);
-        let h_new = tape.leaky_relu(agg, self.slope);
+        let agg = r.add(agg, h_bar);
+        let h_new = r.activation(leaky, agg);
         (h_new, e_new)
     }
 }
@@ -144,10 +147,10 @@ impl AneeLayer {
 /// One Graphormer layer (§III-D): pre-norm MHA and FFN with residual
 /// connections, plus the shortest-path spatial bias hook.
 pub struct GraphormerLayer {
-    pub(crate) ln1: LayerNorm,
-    pub(crate) mha: MultiHeadAttention,
-    pub(crate) ln2: LayerNorm,
-    pub(crate) ffn: FeedForward,
+    ln1: LayerNorm,
+    mha: MultiHeadAttention,
+    ln2: LayerNorm,
+    ffn: FeedForward,
 }
 
 impl GraphormerLayer {
@@ -162,13 +165,13 @@ impl GraphormerLayer {
     }
 
     /// `h̄ = MHA(LN(h)) + h ; h' = FFN(LN(h̄)) + h̄`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, h: Var, attn_bias: Option<Var>) -> Var {
-        let normed = self.ln1.forward(tape, store, h);
-        let att = self.mha.forward(tape, store, normed, normed, attn_bias);
-        let h_bar = tape.add(att, h);
-        let normed2 = self.ln2.forward(tape, store, h_bar);
-        let ff = self.ffn.forward(tape, store, normed2);
-        tape.add(ff, h_bar)
+    pub fn forward<R: Recorder>(&self, r: &mut R, store: &ParamStore, h: R::V, attn_bias: Option<R::V>) -> R::V {
+        let normed = self.ln1.forward(r, store, h);
+        let att = self.mha.forward(r, store, normed, normed, attn_bias);
+        let h_bar = r.add(att, h);
+        let normed2 = self.ln2.forward(r, store, h_bar);
+        let ff = self.ffn.forward(r, store, normed2);
+        r.add(ff, h_bar)
     }
 }
 
@@ -177,9 +180,9 @@ impl GraphormerLayer {
 /// degree bucket (added to node embeddings).
 pub struct StructuralEncoding {
     /// `SPD_CAP + 1` scalars θ_b.
-    pub(crate) spd_theta: Vec<ParamId>,
+    spd_theta: Vec<ParamId>,
     /// `DEGREE_BUCKETS x hidden` centrality table.
-    pub(crate) degree_embed: ParamId,
+    degree_embed: ParamId,
 }
 
 impl StructuralEncoding {
@@ -223,20 +226,20 @@ impl StructuralEncoding {
     }
 
     /// Adds the degree (centrality) embedding to node embeddings.
-    pub fn add_degree(&self, tape: &mut Tape, store: &ParamStore, h: Var, fg: &FeaturizedGraph) -> Var {
-        let table = tape.param(store, self.degree_embed);
-        let rows = tape.gather_rows(table, &fg.degree_bucket);
-        tape.add(h, rows)
+    pub fn add_degree<R: Recorder>(&self, r: &mut R, store: &ParamStore, h: R::V, degree_bucket: R::Idx<'_>) -> R::V {
+        let table = r.param(store, self.degree_embed);
+        let rows = r.gather_rows(table, degree_bucket);
+        r.add(h, rows)
     }
 }
 
 /// Multihead Attention Block: `MAB(X, Y) = LN(H̄ + FFN(H̄))` with
 /// `H̄ = LN(X + MHA(X, Y, Y))` (§III-D).
 pub struct Mab {
-    pub(crate) mha: MultiHeadAttention,
-    pub(crate) ln1: LayerNorm,
-    pub(crate) ffn: FeedForward,
-    pub(crate) ln2: LayerNorm,
+    mha: MultiHeadAttention,
+    ln1: LayerNorm,
+    ffn: FeedForward,
+    ln2: LayerNorm,
 }
 
 impl Mab {
@@ -251,13 +254,13 @@ impl Mab {
     }
 
     /// Applies the block.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var, y: Var) -> Var {
-        let att = self.mha.forward(tape, store, x, y, None);
-        let sum = tape.add(x, att);
-        let h_bar = self.ln1.forward(tape, store, sum);
-        let ff = self.ffn.forward(tape, store, h_bar);
-        let sum2 = tape.add(h_bar, ff);
-        self.ln2.forward(tape, store, sum2)
+    pub fn forward<R: Recorder>(&self, r: &mut R, store: &ParamStore, x: R::V, y: R::V) -> R::V {
+        let att = self.mha.forward(r, store, x, y, None);
+        let sum = r.add(x, att);
+        let h_bar = self.ln1.forward(r, store, sum);
+        let ff = self.ffn.forward(r, store, h_bar);
+        let sum2 = r.add(h_bar, ff);
+        self.ln2.forward(r, store, sum2)
     }
 }
 
@@ -265,11 +268,11 @@ impl Mab {
 /// `Decoder(H) = FFN(SAB(PMA_k(H)))` with
 /// `PMA_k(H) = MAB(S, FFN(H))` over `k` learnable seeds `S`.
 pub struct SetTransformerDecoder {
-    pub(crate) seeds: ParamId,
-    pub(crate) pre_ffn: FeedForward,
-    pub(crate) pma: Mab,
-    pub(crate) sabs: Vec<Mab>,
-    pub(crate) post_ffn: FeedForward,
+    seeds: ParamId,
+    pre_ffn: FeedForward,
+    pma: Mab,
+    sabs: Vec<Mab>,
+    post_ffn: FeedForward,
 }
 
 impl SetTransformerDecoder {
@@ -295,26 +298,37 @@ impl SetTransformerDecoder {
     }
 
     /// Pools `n x dim` node embeddings into `k x dim` decoded slots.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, h: Var) -> Var {
-        let ffn_h = self.pre_ffn.forward(tape, store, h);
-        let seeds = tape.param(store, self.seeds);
-        let mut cur = self.pma.forward(tape, store, seeds, ffn_h);
+    pub fn forward<R: Recorder>(&self, r: &mut R, store: &ParamStore, h: R::V) -> R::V {
+        let ffn_h = self.pre_ffn.forward(r, store, h);
+        let seeds = r.param(store, self.seeds);
+        let mut cur = self.pma.forward(r, store, seeds, ffn_h);
         for sab in &self.sabs {
-            cur = sab.forward(tape, store, cur, cur);
+            cur = sab.forward(r, store, cur, cur);
         }
-        self.post_ffn.forward(tape, store, cur)
+        self.post_ffn.forward(r, store, cur)
     }
+}
+
+/// One graph's inputs as a [`Recorder`] sees them: tape constants
+/// and index slices, or a plan's per-request input operands.
+pub(crate) struct GraphInputs<'a, R: Recorder> {
+    pub(crate) nodes: R::V,
+    pub(crate) edges: R::V,
+    pub(crate) global: R::V,
+    pub(crate) edge_src: R::Idx<'a>,
+    pub(crate) edge_dst: R::Idx<'a>,
+    pub(crate) degree_bucket: R::Idx<'a>,
 }
 
 /// The full DNN-occu predictor.
 pub struct DnnOccu {
-    pub(crate) cfg: DnnOccuConfig,
-    pub(crate) store: ParamStore,
-    pub(crate) anee: AneeLayer,
-    pub(crate) structural: StructuralEncoding,
-    pub(crate) graphormer: Vec<GraphormerLayer>,
-    pub(crate) decoder: SetTransformerDecoder,
-    pub(crate) head: Mlp,
+    cfg: DnnOccuConfig,
+    store: ParamStore,
+    anee: AneeLayer,
+    structural: StructuralEncoding,
+    graphormer: Vec<GraphormerLayer>,
+    decoder: SetTransformerDecoder,
+    head: Mlp,
 }
 
 impl DnnOccu {
@@ -356,6 +370,48 @@ impl DnnOccu {
     /// Number of trainable scalars.
     pub fn num_parameters(&self) -> usize {
         self.store.num_scalars()
+    }
+
+    /// The forward pass, written once for every [`Recorder`]: the tape
+    /// ([`OccuPredictor::forward`]) and the plan builder
+    /// ([`DnnOccu::compile_plan`]) both record exactly this op
+    /// sequence. The SPD attention bias is the one op the two build
+    /// differently (the tape sums per-bucket indicators so thetas get
+    /// gradients, the plan gathers), so the caller supplies it; it is
+    /// only requested when the config uses it.
+    pub(crate) fn record<R: Recorder>(
+        &self,
+        r: &mut R,
+        inputs: GraphInputs<'_, R>,
+        spatial_bias: impl FnOnce(&mut R) -> R::V,
+    ) -> R::V {
+        let store = &self.store;
+        let (mut h, _e) =
+            self.anee.forward(r, store, inputs.nodes, inputs.edges, inputs.edge_src, inputs.edge_dst);
+        if self.cfg.use_degree_encoding {
+            h = self.structural.add_degree(r, store, h, inputs.degree_bucket);
+        }
+        let bias = if self.cfg.use_spatial_bias && !self.graphormer.is_empty() {
+            Some(spatial_bias(r))
+        } else {
+            None
+        };
+        for layer in &self.graphormer {
+            h = layer.forward(r, store, h, bias);
+        }
+        let pooled = if self.cfg.use_set_decoder {
+            let slots = self.decoder.forward(r, store, h);
+            r.mean_rows(slots)
+        } else {
+            r.mean_rows(h)
+        };
+        let head_in = r.hcat(pooled, inputs.global);
+        self.head.forward(r, store, head_in)
+    }
+
+    /// Current values of the SPD bias thetas θ_b, by bucket.
+    pub(crate) fn spd_thetas(&self) -> Vec<f32> {
+        self.structural.spd_theta.iter().map(|&id| self.store.value(id).get(0, 0)).collect()
     }
 
     /// Serializes the model (architecture config + trained weights)
@@ -417,29 +473,15 @@ impl OccuPredictor for DnnOccu {
     }
 
     fn forward(&self, tape: &mut Tape, fg: &FeaturizedGraph) -> Var {
-        let nodes = tape.constant_ref(&fg.node_feats);
-        let edges = tape.constant_ref(&fg.edge_feats);
-        let (mut h, _e) = self.anee.forward(tape, &self.store, nodes, edges, &fg.edge_src, &fg.edge_dst);
-        if self.cfg.use_degree_encoding {
-            h = self.structural.add_degree(tape, &self.store, h, fg);
-        }
-        let bias = if self.cfg.use_spatial_bias && !self.graphormer.is_empty() {
-            Some(self.structural.spatial_bias(tape, &self.store, fg))
-        } else {
-            None
+        let inputs = GraphInputs::<Tape> {
+            nodes: tape.constant_ref(&fg.node_feats),
+            edges: tape.constant_ref(&fg.edge_feats),
+            global: tape.constant_ref(&fg.global_feats),
+            edge_src: &fg.edge_src,
+            edge_dst: &fg.edge_dst,
+            degree_bucket: &fg.degree_bucket,
         };
-        for layer in &self.graphormer {
-            h = layer.forward(tape, &self.store, h, bias);
-        }
-        let pooled = if self.cfg.use_set_decoder {
-            let slots = self.decoder.forward(tape, &self.store, h);
-            tape.mean_rows(slots)
-        } else {
-            tape.mean_rows(h)
-        };
-        let global = tape.constant_ref(&fg.global_feats);
-        let head_in = tape.hcat(pooled, global);
-        self.head.forward(tape, &self.store, head_in)
+        self.record(tape, inputs, |tape| self.structural.spatial_bias(tape, &self.store, fg))
     }
 }
 

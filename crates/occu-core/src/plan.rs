@@ -1,28 +1,28 @@
-//! Plan compiler: lowers a [`DnnOccu`] forward pass into a flat
+//! Compiled plans: a [`DnnOccu`] forward pass recorded as a flat
 //! `occu-plan` [`Program`] specialized to one graph shape.
 //!
 //! The tape interpreter re-records the computation graph, re-copies
 //! every weight into the tape arena, and re-packs every matmul
 //! right-hand side on *each* request. Compiling once per
 //! `(model version, n_nodes, n_edges)` hoists all of that to compile
-//! time: the compiler walks the exact same layer methods the
-//! interpreter executes — same operations, same operand order — and
-//! emits one instruction per tape op, so the compiled program is
-//! bitwise-equal to [`OccuPredictor::predict_target`] by construction
-//! (see `occu-plan`'s crate docs for the single signed-zero caveat in
-//! the SPD bias).
+//! time. [`DnnOccu::compile_plan_with`] runs the model's one generic
+//! forward pass with a [`ProgramBuilder`] as its `occu_nn::Recorder`,
+//! which emits one instruction per op the tape would record — same
+//! operations, same operand order — so the compiled program is
+//! bitwise-equal to [`crate::OccuPredictor::predict_target`] by
+//! construction (see `occu-plan`'s crate docs for the single
+//! signed-zero caveat in the SPD bias, the one op the two recorders
+//! build differently).
 //!
 //! Weight *values* are snapshot into the program; a reloaded model
 //! must therefore be given fresh plans. `occu-serve` guarantees this
 //! by keying its plan cache on the registry's model version.
 
 use crate::features::{FeaturizedGraph, EDGE_FEAT_DIM, GLOBAL_FEAT_DIM, NODE_FEAT_DIM};
-use crate::gnn::{AneeLayer, DnnOccu, GraphormerLayer, Mab, SetTransformerDecoder, StructuralEncoding};
-use crate::train::{target_to_occupancy, OccuPredictor};
-use occu_nn::{Activation, FeedForward, LayerNorm, Linear, Mlp, MultiHeadAttention, ParamStore};
+use crate::gnn::{DnnOccu, GraphInputs};
+use crate::train::target_to_occupancy;
 use occu_plan::{
-    Executor, IdxRef, InputRef, InputShapes, PlanInputs, Precision, Program, ProgramBuilder,
-    ProgramStats, Src, UnaryOp,
+    Executor, IdxRef, InputRef, InputShapes, PlanInputs, Precision, Program, ProgramBuilder, ProgramStats, Src,
 };
 
 thread_local! {
@@ -57,7 +57,7 @@ impl CompiledPlan {
     }
 
     /// Predicts the raw log-scale target — the plan-compiled
-    /// equivalent of [`OccuPredictor::predict_target`].
+    /// equivalent of [`crate::OccuPredictor::predict_target`].
     ///
     /// # Panics
     /// If `fg` has a different shape than the plan was compiled for.
@@ -75,164 +75,9 @@ impl CompiledPlan {
     }
 
     /// Predicts the occupancy — the plan-compiled equivalent of
-    /// [`OccuPredictor::predict`].
+    /// [`crate::OccuPredictor::predict`].
     pub fn predict(&self, fg: &FeaturizedGraph) -> f32 {
         target_to_occupancy(self.predict_target(fg))
-    }
-}
-
-/// Walks the model layer by layer, emitting one plan instruction per
-/// tape op the interpreter would record.
-struct PlanCompiler<'m> {
-    b: ProgramBuilder,
-    store: &'m ParamStore,
-    precision: Precision,
-}
-
-impl PlanCompiler<'_> {
-    /// The precision-lowering hook: every `Linear` weight (the only
-    /// compile-time matmul right-hand sides) is snapshot at the
-    /// compiler's precision. Activation-by-activation products
-    /// (attention scores/values) have no compile-time operand and
-    /// stay f32 at every tier.
-    fn linear(&mut self, l: &Linear, x: Src) -> Src {
-        let wm = self.store.value(l.weight_id());
-        let bias = l.bias_id().map(|id| self.b.plain_weight(self.store.value(id).clone()));
-        match self.precision {
-            Precision::F32 => {
-                let w = self.b.packed_weight(wm);
-                self.b.matmul_packed(x, w, bias)
-            }
-            Precision::Int8 => {
-                let w = self.b.packed_weight_i8(wm);
-                self.b.matmul_packed_i8(x, w, bias)
-            }
-        }
-    }
-
-    fn activation(&mut self, act: Activation, x: Src) -> Src {
-        match act {
-            Activation::None => x,
-            Activation::Relu => self.b.unary(x, UnaryOp::Relu),
-            Activation::LeakyRelu(a) => self.b.unary(x, UnaryOp::LeakyRelu(a)),
-            Activation::Gelu => self.b.unary(x, UnaryOp::Gelu),
-            Activation::Sigmoid => self.b.unary(x, UnaryOp::Sigmoid),
-            Activation::Tanh => self.b.unary(x, UnaryOp::Tanh),
-        }
-    }
-
-    fn layer_norm(&mut self, ln: &LayerNorm, x: Src) -> Src {
-        let gamma = self.b.plain_weight(self.store.value(ln.gamma_id()).clone());
-        let beta = self.b.plain_weight(self.store.value(ln.beta_id()).clone());
-        self.b.layer_norm_affine(x, gamma, beta)
-    }
-
-    fn feed_forward(&mut self, ff: &FeedForward, x: Src) -> Src {
-        let h = self.linear(ff.linear1(), x);
-        let h = self.activation(ff.activation(), h);
-        self.linear(ff.linear2(), h)
-    }
-
-    fn mha(&mut self, mha: &MultiHeadAttention, x: Src, y: Src, attn_bias: Option<Src>) -> Src {
-        let q = self.linear(mha.wq(), x);
-        let k = self.linear(mha.wk(), y);
-        let v = self.linear(mha.wv(), y);
-        let scale = 1.0 / (mha.head_dim() as f32).sqrt();
-        let mut merged: Option<Src> = None;
-        for h in 0..mha.heads() {
-            let lo = h * mha.head_dim();
-            let hi = lo + mha.head_dim();
-            let qh = self.b.slice_cols(q, lo, hi);
-            let kh = self.b.slice_cols(k, lo, hi);
-            let vh = self.b.slice_cols(v, lo, hi);
-            let scores = self.b.matmul_transb(qh, kh);
-            let scores = self.b.unary(scores, UnaryOp::Scale(scale));
-            let scores = match attn_bias {
-                Some(bias) => self.b.add(scores, bias),
-                None => scores,
-            };
-            let attn = self.b.softmax_rows(scores);
-            let out_h = self.b.matmul(attn, vh);
-            merged = Some(match merged {
-                Some(acc) => self.b.hcat(acc, out_h),
-                None => out_h,
-            });
-        }
-        let concat = merged.expect("at least one head");
-        self.linear(mha.wo(), concat)
-    }
-
-    fn mlp(&mut self, mlp: &Mlp, x: Src) -> Src {
-        let last = mlp.layers().len() - 1;
-        let mut h = x;
-        for (i, layer) in mlp.layers().iter().enumerate() {
-            h = self.linear(layer, h);
-            h = if i == last {
-                self.activation(mlp.output_activation(), h)
-            } else {
-                self.activation(mlp.hidden_activation(), h)
-            };
-        }
-        h
-    }
-
-    fn anee(&mut self, anee: &AneeLayer, nodes: Src, edges: Src, n_nodes: usize) -> Src {
-        let h_bar = self.linear(&anee.w_u, nodes);
-        let h_bar = self.b.unary(h_bar, UnaryOp::LeakyRelu(anee.slope));
-        let hs = self.b.gather_rows(h_bar, IdxRef::EdgeSrc);
-        let hd = self.b.gather_rows(h_bar, IdxRef::EdgeDst);
-        let cat = self.b.hcat(hs, hd);
-        let a = self.b.plain_weight(self.store.value(anee.a).clone());
-        let alpha = self.b.matmul(cat, Src::Weight(a));
-        let e_trans = self.linear(&anee.w_e, edges);
-        let gated = self.b.mul_col_broadcast(e_trans, alpha);
-        let e_new = self.b.unary(gated, UnaryOp::Sigmoid);
-        let gate = self.linear(&anee.w_m, e_new);
-        let gate = self.b.softmax_rows(gate);
-        let msg = self.b.mul(gate, hs);
-        let agg = self.b.scatter_add_rows(msg, IdxRef::EdgeDst, n_nodes);
-        let agg = self.b.add(agg, h_bar);
-        self.b.unary(agg, UnaryOp::LeakyRelu(anee.slope))
-    }
-
-    fn graphormer(&mut self, layer: &GraphormerLayer, h: Src, attn_bias: Option<Src>) -> Src {
-        let normed = self.layer_norm(&layer.ln1, h);
-        let att = self.mha(&layer.mha, normed, normed, attn_bias);
-        let h_bar = self.b.add(att, h);
-        let normed2 = self.layer_norm(&layer.ln2, h_bar);
-        let ff = self.feed_forward(&layer.ffn, normed2);
-        self.b.add(ff, h_bar)
-    }
-
-    fn mab(&mut self, mab: &Mab, x: Src, y: Src) -> Src {
-        let att = self.mha(&mab.mha, x, y, None);
-        let sum = self.b.add(x, att);
-        let h_bar = self.layer_norm(&mab.ln1, sum);
-        let ff = self.feed_forward(&mab.ffn, h_bar);
-        let sum2 = self.b.add(h_bar, ff);
-        self.layer_norm(&mab.ln2, sum2)
-    }
-
-    fn decoder(&mut self, dec: &SetTransformerDecoder, h: Src) -> Src {
-        let ffn_h = self.feed_forward(&dec.pre_ffn, h);
-        let seeds = self.b.plain_weight(self.store.value(dec.seeds).clone());
-        let mut cur = self.mab(&dec.pma, Src::Weight(seeds), ffn_h);
-        for sab in &dec.sabs {
-            cur = self.mab(sab, cur, cur);
-        }
-        self.feed_forward(&dec.post_ffn, cur)
-    }
-
-    fn spd_bias(&mut self, structural: &StructuralEncoding) -> Src {
-        let thetas: Vec<f32> =
-            structural.spd_theta.iter().map(|&id| self.store.value(id).get(0, 0)).collect();
-        self.b.spd_bias(thetas)
-    }
-
-    fn add_degree(&mut self, structural: &StructuralEncoding, h: Src) -> Src {
-        let table = self.b.plain_weight(self.store.value(structural.degree_embed).clone());
-        let rows = self.b.gather_rows(Src::Weight(table), IdxRef::DegreeBucket);
-        self.b.add(h, rows)
     }
 }
 
@@ -263,32 +108,18 @@ impl DnnOccu {
             edge_feat_dim: EDGE_FEAT_DIM,
             global_feat_dim: GLOBAL_FEAT_DIM,
         };
-        let mut builder = ProgramBuilder::new(shapes);
-        builder.set_precision(precision);
-        let mut c = PlanCompiler { b: builder, store: self.store(), precision };
-        let nodes = Src::Input(InputRef::NodeFeats);
-        let edges = Src::Input(InputRef::EdgeFeats);
-        let mut h = c.anee(&self.anee, nodes, edges, n_nodes);
-        if self.cfg.use_degree_encoding {
-            h = c.add_degree(&self.structural, h);
-        }
-        let bias = if self.cfg.use_spatial_bias && !self.graphormer.is_empty() {
-            Some(c.spd_bias(&self.structural))
-        } else {
-            None
+        let mut b = ProgramBuilder::new(shapes);
+        b.set_precision(precision);
+        let inputs = GraphInputs {
+            nodes: Src::Input(InputRef::NodeFeats),
+            edges: Src::Input(InputRef::EdgeFeats),
+            global: Src::Input(InputRef::GlobalFeats),
+            edge_src: IdxRef::EdgeSrc,
+            edge_dst: IdxRef::EdgeDst,
+            degree_bucket: IdxRef::DegreeBucket,
         };
-        for layer in &self.graphormer {
-            h = c.graphormer(layer, h, bias);
-        }
-        let pooled = if self.cfg.use_set_decoder {
-            let slots = c.decoder(&self.decoder, h);
-            c.b.mean_rows(slots)
-        } else {
-            c.b.mean_rows(h)
-        };
-        let head_in = c.b.hcat(pooled, Src::Input(InputRef::GlobalFeats));
-        let out = c.mlp(&self.head, head_in);
-        CompiledPlan { program: c.b.finish(out) }
+        let out = self.record(&mut b, inputs, |b| b.spd_bias(self.spd_thetas()));
+        CompiledPlan { program: b.finish(out) }
     }
 
     /// Compiles a plan matching the shape of one featurized graph.
@@ -306,6 +137,7 @@ impl DnnOccu {
 mod tests {
     use super::*;
     use crate::gnn::DnnOccuConfig;
+    use crate::train::OccuPredictor;
 
     fn sample_graph(seed: u64) -> FeaturizedGraph {
         let id = occu_models::ModelId::ALL[seed as usize % occu_models::ModelId::ALL.len()];
@@ -330,7 +162,7 @@ mod tests {
 
     #[test]
     fn ablated_configs_compile_and_stay_bitwise_equal() {
-        // Exercise every conditional branch of the compiler: no degree
+        // Exercise every conditional branch of the forward pass: no degree
         // encoding, no spatial bias, no set decoder, no graphormer.
         let fg = sample_graph(1);
         let mut cfgs = Vec::new();

@@ -3,9 +3,10 @@
 //! The compiled plan path ([`occu_core::plan`]) promises *bitwise*
 //! equality with the tape interpreter: same kernels, same operation
 //! order, weights snapshotted verbatim. These tests pin that promise
-//! on every zoo architecture and on ragged hidden widths that
-//! straddle SIMD register boundaries, so a drift in either executor
-//! (or in the GEMM packing) fails loudly.
+//! on every zoo architecture, on ragged hidden widths that straddle
+//! SIMD register boundaries, and on random graphs outside the zoo
+//! with every parameter perturbed away from its initial value, so a
+//! drift in either executor (or in the GEMM packing) fails loudly.
 //!
 //! The suite must also pass with `OCCU_FORCE_SCALAR=1` (the scalar
 //! GEMM fallback): both paths call the same dispatched kernels, so
@@ -13,10 +14,12 @@
 //! ways via `repro plan`.
 
 use occu_core::dataset::make_sample;
+use occu_core::features::{DEGREE_BUCKETS, EDGE_FEAT_DIM, GLOBAL_FEAT_DIM, NODE_FEAT_DIM, SPD_CAP};
 use occu_core::gnn::{DnnOccu, DnnOccuConfig};
 use occu_core::{FeaturizedGraph, OccuPredictor};
 use occu_gpusim::DeviceSpec;
 use occu_models::ModelId;
+use occu_tensor::{Matrix, SeededRng};
 
 fn graph(id: ModelId) -> FeaturizedGraph {
     make_sample(id, id.default_config(), &DeviceSpec::a100()).features
@@ -90,4 +93,85 @@ fn repeated_executions_are_deterministic() {
     for _ in 0..5 {
         assert_eq!(plan.predict_target(&fg).to_bits(), first);
     }
+}
+
+/// A random graph built field by field, outside anything the zoo or
+/// the featurizer produces: `n` nodes, random edges (self-loops and
+/// repeated edges included), a random SPD map with a zero diagonal and
+/// random degree buckets. Edgeless graphs get the featurizer's single
+/// zero `0 -> 0` padding row.
+fn random_graph(rng: &mut SeededRng, n: usize) -> FeaturizedGraph {
+    let e = rng.index(2 * n + 3);
+    let mut edge_src: Vec<usize> = (0..e).map(|_| rng.index(n)).collect();
+    let mut edge_dst: Vec<usize> = (0..e).map(|_| rng.index(n)).collect();
+    if e >= 2 {
+        edge_src[1] = edge_src[0];
+        edge_dst[1] = edge_dst[0];
+    }
+    if e >= 3 {
+        edge_dst[2] = edge_src[2];
+    }
+    let edge_feats = if e == 0 {
+        edge_src.push(0);
+        edge_dst.push(0);
+        Matrix::zeros(1, EDGE_FEAT_DIM)
+    } else {
+        Matrix::randn(e, EDGE_FEAT_DIM, 1.0, rng)
+    };
+    let spd = (0..n * n)
+        .map(|k| if k / n == k % n { 0 } else { 1 + rng.index(SPD_CAP) as u8 })
+        .collect();
+    FeaturizedGraph {
+        node_feats: Matrix::randn(n, NODE_FEAT_DIM, 1.0, rng),
+        edge_feats,
+        edge_src,
+        edge_dst,
+        spd,
+        degree_bucket: (0..n).map(|_| rng.index(DEGREE_BUCKETS)).collect(),
+        topo_order: (0..n).collect(),
+        global_feats: Matrix::randn(1, GLOBAL_FEAT_DIM, 1.0, rng),
+    }
+}
+
+/// Differential test beyond the zoo, on non-zero parameters. A freshly
+/// initialised model has all-zero SPD thetas, biases and LayerNorm
+/// shifts, so the zoo tests above cannot tell a plan that mishandles
+/// any of them from a correct one. Here every parameter is perturbed
+/// by `0.1 * N(0, 1)` and 48 random graphs per config (1 to 40 nodes,
+/// `n = 1` included) must give bit-identical `predict_target` on the
+/// plan and the tape.
+#[test]
+fn plan_matches_interpreter_bitwise_on_random_graphs_with_perturbed_weights() {
+    let configs = [
+        DnnOccuConfig::fast(),
+        DnnOccuConfig { hidden: 20, heads: 4, ..DnnOccuConfig::fast() },
+    ];
+    let mut mismatches = Vec::new();
+    let mut total = 0;
+    for (ci, cfg) in configs.into_iter().enumerate() {
+        let mut rng = SeededRng::new(0xD1FF + ci as u64);
+        let mut model = DnnOccu::new(cfg, 500 + ci as u64);
+        let store = model.store_mut();
+        for id in store.ids().collect::<Vec<_>>() {
+            let (r, c) = store.value(id).shape();
+            let noise = Matrix::randn(r, c, 0.1, &mut rng);
+            store.value_mut(id).add_assign(&noise);
+        }
+        for g in 0..48 {
+            let n = if g % 8 == 0 { 1 } else { 1 + rng.index(40) };
+            let fg = random_graph(&mut rng, n);
+            let planned = model.compile_plan_for(&fg).predict_target(&fg);
+            let taped = model.predict_target(&fg);
+            total += 1;
+            if planned.to_bits() != taped.to_bits() {
+                mismatches.push(format!("config {ci} graph {g} (n={n}): plan {planned} vs tape {taped}"));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of {total} random graphs diverged:\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
 }

@@ -139,7 +139,7 @@ pub struct TenantSlot {
     pub predictions: AtomicU64,
     /// Successful `/reload`s targeting this tenant.
     pub reloads: AtomicU64,
-    /// Numeric precision the plan compiler lowers to for this tenant,
+    /// Numeric precision this tenant's plans lower weight matmuls to,
     /// stored as [`Precision`]'s discriminant so `/reload` can switch
     /// it without locking. Plans at the old precision stay cached but
     /// unreachable (precision is part of the plan-cache key).

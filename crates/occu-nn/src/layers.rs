@@ -1,10 +1,13 @@
-//! Neural layers built from tape primitives.
+//! Neural layers built from [`Recorder`] operations.
 //!
 //! Layers own no matrices — only [`ParamId`] handles into a
 //! [`ParamStore`] — so a model is (layer structs + store), and the
-//! store alone is what gets serialized.
+//! store alone is what gets serialized. Each forward pass is generic
+//! over the recorder, so the same code records a tape for training
+//! and a plan for inference.
 
 use crate::params::{ParamId, ParamStore};
+use crate::record::Recorder;
 use crate::tape::{Tape, Var};
 use occu_tensor::{Matrix, SeededRng};
 
@@ -23,20 +26,6 @@ pub enum Activation {
     Sigmoid,
     /// Hyperbolic tangent.
     Tanh,
-}
-
-impl Activation {
-    /// Applies the activation on the tape.
-    pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::None => x,
-            Activation::Relu => tape.relu(x),
-            Activation::LeakyRelu(a) => tape.leaky_relu(x, a),
-            Activation::Gelu => tape.gelu(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-            Activation::Tanh => tape.tanh(x),
-        }
-    }
 }
 
 /// Affine layer `y = x W + b` mapping `n x in` to `n x out`.
@@ -73,33 +62,15 @@ impl Linear {
         self.out_dim
     }
 
-    /// Weight parameter handle (`in_dim x out_dim`). Exposed so the
-    /// plan compiler can snapshot and pre-pack the weight.
-    pub fn weight_id(&self) -> ParamId {
-        self.w
-    }
-
-    /// Bias parameter handle (`1 x out_dim`), if the layer has one.
-    pub fn bias_id(&self) -> Option<ParamId> {
-        self.b
-    }
-
-    /// Records `x W (+ b)` on the tape.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+    /// Records `x W (+ b)`.
+    pub fn forward<R: Recorder>(&self, r: &mut R, store: &ParamStore, x: R::V) -> R::V {
         assert_eq!(
-            tape.shape(x).1,
+            r.shape(x).1,
             self.in_dim,
             "Linear::forward: input width {} != layer in_dim {}",
-            tape.shape(x).1, self.in_dim
+            r.shape(x).1, self.in_dim
         );
-        let w = tape.param(store, self.w);
-        match self.b {
-            Some(b) => {
-                let bv = tape.param(store, b);
-                tape.matmul_bias(x, w, bv)
-            }
-            None => tape.matmul(x, w),
-        }
+        r.linear(store, self.w, self.b, x)
     }
 }
 
@@ -119,27 +90,15 @@ impl LayerNorm {
         Self { gamma, beta, dim }
     }
 
-    /// Gain parameter handle (`1 x dim`).
-    pub fn gamma_id(&self) -> ParamId {
-        self.gamma
-    }
-
-    /// Shift parameter handle (`1 x dim`).
-    pub fn beta_id(&self) -> ParamId {
-        self.beta
-    }
-
     /// Normalized feature width.
     pub fn dim(&self) -> usize {
         self.dim
     }
 
-    /// Records `LN(x) * gamma + beta` on the tape as one fused op.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        assert_eq!(tape.shape(x).1, self.dim, "LayerNorm::forward: width mismatch");
-        let g = tape.param(store, self.gamma);
-        let b = tape.param(store, self.beta);
-        tape.layer_norm_affine(x, g, b)
+    /// Records `LN(x) * gamma + beta` as one fused op.
+    pub fn forward<R: Recorder>(&self, r: &mut R, store: &ParamStore, x: R::V) -> R::V {
+        assert_eq!(r.shape(x).1, self.dim, "LayerNorm::forward: width mismatch");
+        r.layer_norm(store, self.gamma, self.beta, x)
     }
 }
 
@@ -161,26 +120,11 @@ impl FeedForward {
         }
     }
 
-    /// First (expanding) linear layer.
-    pub fn linear1(&self) -> &Linear {
-        &self.l1
-    }
-
-    /// Second (contracting) linear layer.
-    pub fn linear2(&self) -> &Linear {
-        &self.l2
-    }
-
-    /// The activation between the two linears.
-    pub fn activation(&self) -> Activation {
-        self.act
-    }
-
-    /// Records the block on the tape.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let h = self.l1.forward(tape, store, x);
-        let h = self.act.apply(tape, h);
-        self.l2.forward(tape, store, h)
+    /// Records the block.
+    pub fn forward<R: Recorder>(&self, r: &mut R, store: &ParamStore, x: R::V) -> R::V {
+        let h = self.l1.forward(r, store, x);
+        let h = r.activation(self.act, h);
+        self.l2.forward(r, store, h)
     }
 }
 
@@ -220,72 +164,49 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Per-head feature width (`dim / heads`).
-    pub fn head_dim(&self) -> usize {
-        self.head_dim
-    }
-
-    /// Query projection.
-    pub fn wq(&self) -> &Linear {
-        &self.wq
-    }
-
-    /// Key projection.
-    pub fn wk(&self) -> &Linear {
-        &self.wk
-    }
-
-    /// Value projection.
-    pub fn wv(&self) -> &Linear {
-        &self.wv
-    }
-
-    /// Output projection.
-    pub fn wo(&self) -> &Linear {
-        &self.wo
-    }
-
     /// Self-attention: `MHA(x, x, x)`.
-    pub fn forward_self(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        self.forward(tape, store, x, x, None)
+    pub fn forward_self<R: Recorder>(&self, r: &mut R, store: &ParamStore, x: R::V) -> R::V {
+        self.forward(r, store, x, x, None)
     }
 
     /// Cross-attention with an optional additive `n x m` score bias.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var, y: Var, attn_bias: Option<Var>) -> Var {
-        assert_eq!(tape.shape(x).1, self.dim, "MHA: query width mismatch");
-        assert_eq!(tape.shape(y).1, self.dim, "MHA: key/value width mismatch");
-        let q = self.wq.forward(tape, store, x);
-        let k = self.wk.forward(tape, store, y);
-        let v = self.wv.forward(tape, store, y);
+    pub fn forward<R: Recorder>(
+        &self,
+        r: &mut R,
+        store: &ParamStore,
+        x: R::V,
+        y: R::V,
+        attn_bias: Option<R::V>,
+    ) -> R::V {
+        assert_eq!(r.shape(x).1, self.dim, "MHA: query width mismatch");
+        assert_eq!(r.shape(y).1, self.dim, "MHA: key/value width mismatch");
+        let q = self.wq.forward(r, store, x);
+        let k = self.wk.forward(r, store, y);
+        let v = self.wv.forward(r, store, y);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
 
-        let mut merged: Option<Var> = None;
+        let mut merged: Option<R::V> = None;
         for h in 0..self.heads {
             let lo = h * self.head_dim;
             let hi = lo + self.head_dim;
-            let qh = tape.slice_cols(q, lo, hi);
-            let kh = tape.slice_cols(k, lo, hi);
-            let vh = tape.slice_cols(v, lo, hi);
-            let scores = tape.matmul_transb(qh, kh);
-            let scores = tape.scale(scores, scale);
+            let qh = r.slice_cols(q, lo, hi);
+            let kh = r.slice_cols(k, lo, hi);
+            let vh = r.slice_cols(v, lo, hi);
+            let scores = r.matmul_transb(qh, kh);
+            let scores = r.scale(scores, scale);
             let scores = match attn_bias {
-                Some(bias) => tape.add(scores, bias),
+                Some(bias) => r.add(scores, bias),
                 None => scores,
             };
-            let attn = tape.softmax_rows(scores);
-            let out_h = tape.matmul(attn, vh);
+            let attn = r.softmax_rows(scores);
+            let out_h = r.matmul(attn, vh);
             merged = Some(match merged {
-                Some(acc) => tape.hcat(acc, out_h),
+                Some(acc) => r.hcat(acc, out_h),
                 None => out_h,
             });
         }
         let concat = merged.expect("at least one head");
-        self.wo.forward(tape, store, concat)
+        self.wo.forward(r, store, concat)
     }
 }
 
@@ -332,32 +253,14 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_dim()
     }
 
-    /// The affine layers, first to last.
-    pub fn layers(&self) -> &[Linear] {
-        &self.layers
-    }
-
-    /// Activation applied after every layer but the last.
-    pub fn hidden_activation(&self) -> Activation {
-        self.hidden_act
-    }
-
-    /// Activation applied after the final layer.
-    pub fn output_activation(&self) -> Activation {
-        self.output_act
-    }
-
-    /// Records the full MLP on the tape.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+    /// Records the full MLP.
+    pub fn forward<R: Recorder>(&self, r: &mut R, store: &ParamStore, x: R::V) -> R::V {
         let last = self.layers.len() - 1;
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(tape, store, h);
-            h = if i == last {
-                self.output_act.apply(tape, h)
-            } else {
-                self.hidden_act.apply(tape, h)
-            };
+            h = layer.forward(r, store, h);
+            let act = if i == last { self.output_act } else { self.hidden_act };
+            h = r.activation(act, h);
         }
         h
     }
@@ -434,117 +337,6 @@ impl LstmCell {
         let c_tanh = tape.tanh(c_next);
         let h_next = tape.mul(o_s, c_tanh);
         (h_next, c_next)
-    }
-}
-
-/// A single GRU cell with fused gate weights (gate order r, z, n).
-/// Completes the recurrent family next to [`LstmCell`]; used by
-/// downstream experiments that swap recurrent cores.
-#[derive(Clone, Debug)]
-pub struct GruCell {
-    /// `in_dim x 3*hidden` input-to-gates weights.
-    w_x: ParamId,
-    /// `hidden x 3*hidden` hidden-to-gates weights.
-    w_h: ParamId,
-    /// `1 x 3*hidden` bias.
-    b: ParamId,
-    in_dim: usize,
-    hidden: usize,
-}
-
-impl GruCell {
-    /// Creates a GRU cell.
-    pub fn new(store: &mut ParamStore, name: &str, in_dim: usize, hidden: usize, rng: &mut SeededRng) -> Self {
-        Self {
-            w_x: store.register_xavier(format!("{name}.w_x"), in_dim, 3 * hidden, rng),
-            w_h: store.register_xavier(format!("{name}.w_h"), hidden, 3 * hidden, rng),
-            b: store.register_zeros(format!("{name}.b"), 1, 3 * hidden),
-            in_dim,
-            hidden,
-        }
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Fresh zero hidden state for `batch` sequences.
-    pub fn zero_state(&self, tape: &mut Tape, batch: usize) -> Var {
-        tape.constant_zeros(batch, self.hidden)
-    }
-
-    /// One step: `h' = (1-z) ⊙ n + z ⊙ h` with
-    /// `r = σ(..), z = σ(..), n = tanh(W_n x + r ⊙ (U_n h))`.
-    pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: Var, h: Var) -> Var {
-        assert_eq!(tape.shape(x).1, self.in_dim, "GruCell::step: input width mismatch");
-        let wx = tape.param(store, self.w_x);
-        let wh = tape.param(store, self.w_h);
-        let b = tape.param(store, self.b);
-        let gx = tape.matmul(x, wx);
-        let gx = tape.add_row_broadcast(gx, b);
-        let gh = tape.matmul(h, wh);
-        let hsz = self.hidden;
-        let r_pre = {
-            let a = tape.slice_cols(gx, 0, hsz);
-            let bq = tape.slice_cols(gh, 0, hsz);
-            tape.add(a, bq)
-        };
-        let z_pre = {
-            let a = tape.slice_cols(gx, hsz, 2 * hsz);
-            let bq = tape.slice_cols(gh, hsz, 2 * hsz);
-            tape.add(a, bq)
-        };
-        let r = tape.sigmoid(r_pre);
-        let z = tape.sigmoid(z_pre);
-        let n_pre = {
-            let a = tape.slice_cols(gx, 2 * hsz, 3 * hsz);
-            let uh = tape.slice_cols(gh, 2 * hsz, 3 * hsz);
-            let gated = tape.mul(r, uh);
-            tape.add(a, gated)
-        };
-        let n = tape.tanh(n_pre);
-        // h' = (1 - z) * n + z * h  ==  n + z * (h - n)
-        let h_minus_n = tape.sub(h, n);
-        let zh = tape.mul(z, h_minus_n);
-        tape.add(n, zh)
-    }
-}
-
-/// Inverted dropout for training-time regularization.
-///
-/// The forward pass multiplies by a Bernoulli mask scaled by
-/// `1/(1-p)`; the mask is a tape constant, so backward routes
-/// gradients only through kept units. Call with `train = false` (or
-/// `p = 0`) for the identity.
-#[derive(Clone, Debug)]
-pub struct Dropout {
-    /// Drop probability.
-    pub p: f32,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with drop probability `p`.
-    pub fn new(p: f32) -> Self {
-        assert!((0.0..1.0).contains(&p), "Dropout: p must be in [0, 1)");
-        Self { p }
-    }
-
-    /// Applies dropout using `rng` for the mask; identity when
-    /// `train` is false.
-    pub fn forward(&self, tape: &mut Tape, x: Var, train: bool, rng: &mut SeededRng) -> Var {
-        if !train || self.p == 0.0 {
-            return x;
-        }
-        let (r, c) = tape.shape(x);
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        let m = tape.constant_zeroed_with(r, c, |mask| {
-            for v in mask.data_mut() {
-                *v = if rng.chance(f64::from(keep)) { scale } else { 0.0 };
-            }
-        });
-        tape.mul(x, m)
     }
 }
 
@@ -650,58 +442,6 @@ mod tests {
         assert!(tape.value(h1).norm() > 0.0);
         let (h2, _) = cell.step(&mut tape, &store, x, h1, c1);
         assert_ne!(tape.value(h1), tape.value(h2));
-    }
-
-    #[test]
-    fn gru_step_shapes_and_gating() {
-        let (mut store, mut rng) = setup();
-        let cell = GruCell::new(&mut store, "gru", 5, 7, &mut rng);
-        let mut tape = Tape::new();
-        let h0 = cell.zero_state(&mut tape, 3);
-        let x = tape.constant(Matrix::randn(3, 5, 1.0, &mut rng));
-        let h1 = cell.step(&mut tape, &store, x, h0);
-        assert_eq!(tape.shape(h1), (3, 7));
-        assert!(tape.value(h1).norm() > 0.0);
-        // tanh bounds the new state.
-        assert!(tape.value(h1).data().iter().all(|v| v.abs() <= 1.0 + 1e-6));
-    }
-
-    #[test]
-    fn gru_gradients_flow() {
-        let (mut store, mut rng) = setup();
-        let cell = GruCell::new(&mut store, "gru", 3, 4, &mut rng);
-        let x = Matrix::randn(2, 3, 0.8, &mut rng);
-        let mut tape = Tape::new();
-        let h0 = cell.zero_state(&mut tape, 2);
-        let xv = tape.constant(x);
-        let h1 = cell.step(&mut tape, &store, xv, h0);
-        let h2 = cell.step(&mut tape, &store, xv, h1);
-        let sq = tape.square(h2);
-        let loss = tape.mean_all(sq);
-        tape.backward(loss, &mut store);
-        assert!(store.grad_norm() > 0.0, "gradients reach GRU weights");
-    }
-
-    #[test]
-    fn dropout_identity_at_eval_and_scales_at_train() {
-        let (_, mut rng) = setup();
-        let d = Dropout::new(0.5);
-        let mut tape = Tape::new();
-        let x = tape.constant(Matrix::ones(100, 10));
-        let eval = d.forward(&mut tape, x, false, &mut rng);
-        assert_eq!(eval, x, "eval mode is the identity (same var)");
-        let train = d.forward(&mut tape, x, true, &mut rng);
-        let v = tape.value(train);
-        // Kept units are scaled to 2.0; dropped to 0; mean ~1.
-        assert!(v.data().iter().all(|&e| e == 0.0 || (e - 2.0).abs() < 1e-6));
-        let mean = v.mean();
-        assert!((mean - 1.0).abs() < 0.15, "inverted dropout preserves expectation: {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "Dropout: p must be in")]
-    fn dropout_rejects_p_one() {
-        let _ = Dropout::new(1.0);
     }
 
     #[test]

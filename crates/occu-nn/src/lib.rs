@@ -10,14 +10,22 @@
 //!
 //! * [`ParamStore`] owns every trainable parameter (value, gradient,
 //!   Adam moments). Layers hold [`ParamId`] handles, never matrices.
-//! * [`Tape`] records a fresh computation graph per forward pass.
-//!   Operations are methods on `Tape` that take and return [`Var`]
-//!   handles; [`Tape::backward`] walks the tape in reverse and
-//!   accumulates parameter gradients back into the store.
+//! * [`Recorder`] is the set of operations a model forward pass is
+//!   written in. Layers are generic over it, so one definition of the
+//!   network serves two recorders: [`Tape`] and `occu-plan`'s
+//!   `ProgramBuilder`, which emits one shape-specialized inference
+//!   instruction per call.
+//! * [`Tape`] records a fresh computation graph per forward pass,
+//!   computing every value eagerly and keeping [`Var`] handles;
+//!   [`Tape::backward`] walks the tape in reverse and accumulates
+//!   parameter gradients back into the store. Ops only training or
+//!   the baselines need (losses, `sub`, `tanh`, row broadcasts) are
+//!   inherent `Tape` methods.
 //! * [`layers`] builds Linear / LayerNorm / multi-head attention /
-//!   feed-forward / LSTM blocks from those primitives — everything
+//!   feed-forward / MLP blocks from those operations — everything
 //!   needed for the ANEE layer, Graphormer layer, and Set Transformer
-//!   decoder implemented in `occu-core`.
+//!   decoder implemented in `occu-core` — plus the tape-only LSTM cell
+//!   of the sequence baseline.
 //!
 //! The design favours clarity and determinism over peak throughput:
 //! graphs in the dataset have at most a few thousand nodes, and the
@@ -29,9 +37,11 @@ pub mod gradcheck;
 pub mod layers;
 pub mod optim;
 pub mod params;
+pub mod record;
 pub mod tape;
 
-pub use layers::{Activation, Dropout, FeedForward, GruCell, LayerNorm, Linear, LstmCell, Mlp, MultiHeadAttention};
+pub use layers::{Activation, FeedForward, LayerNorm, Linear, LstmCell, Mlp, MultiHeadAttention};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};
+pub use record::Recorder;
 pub use tape::{GradBuffer, Tape, Var};

@@ -128,6 +128,7 @@ impl Optimizer for Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Recorder;
     use crate::tape::Tape;
     use occu_tensor::SeededRng;
 

@@ -9,7 +9,9 @@
 //! [`Tape::clear`] returns all node storage to the arena between
 //! samples.
 
+use crate::layers::Activation;
 use crate::params::{ParamId, ParamStore};
+use crate::record::Recorder;
 use occu_tensor::{Matrix, ScratchArena};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -37,9 +39,6 @@ enum Op {
     /// `a * b^T` without materializing the transpose.
     MatmulTransB(Var, Var),
     Scale(Var, f32),
-    /// The added constant is recorded for debugging; its gradient is
-    /// the identity so backward never reads it.
-    AddScalar(Var, #[allow(dead_code)] f32),
     /// `x * s` where `s` is a `1x1` tape value (used for learnable
     /// scalar gates such as Graphormer spatial-bias coefficients).
     ScaleByScalar(Var, Var),
@@ -65,9 +64,7 @@ enum Op {
     MeanAll(Var),
     SumAll(Var),
     MeanRows(Var),
-    Transpose(Var),
     HCat(Var, Var),
-    VCat(Var, Var),
     SliceCols(Var, usize, usize),
     GatherRows(Var, Vec<usize>),
     /// `out[indices[i]] += x[i]` over `out_rows` output rows (the row
@@ -156,7 +153,10 @@ impl GradBuffer {
 ///
 /// The tape is append-only; [`Var`]s index into it. Values are stored
 /// eagerly (define-by-run), so any intermediate can be inspected with
-/// [`Tape::value`]. Call [`Tape::backward`] on a scalar (`1x1`) output
+/// [`Tape::value`]. The ops layers are written in come from its
+/// [`Recorder`] implementation; the inherent methods add what only
+/// training and the baselines use (constants, losses, `sub`, row
+/// broadcasts, named activations). Call [`Tape::backward`] on a scalar (`1x1`) output
 /// to populate parameter gradients in the [`ParamStore`], or
 /// [`Tape::backward_into`] to collect them in a [`GradBuffer`] without
 /// touching the store. Reuse one tape across samples with
@@ -271,44 +271,18 @@ impl Tape {
         self.push(v, Op::Leaf)
     }
 
-    /// Records a trainable parameter by copying its current value from
-    /// the store; backward accumulates into the store's grad buffer.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let v = self.take_copy(store.value(id));
-        self.push(v, Op::Param(id))
-    }
-
     /// Current value of a recorded variable.
     pub fn value(&self, v: Var) -> &Matrix {
         &self.nodes[v.0].value
     }
 
-    /// Shape of a recorded variable.
-    pub fn shape(&self, v: Var) -> (usize, usize) {
-        self.nodes[v.0].value.shape()
-    }
-
     // --- elementwise/binary ---
-
-    /// Elementwise sum.
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let mut out = self.take(self.shape(a).0, self.shape(a).1);
-        self.value(a).zip_map_into(self.value(b), &mut out, |x, y| x + y);
-        self.push(out, Op::Add(a, b))
-    }
 
     /// Elementwise difference `a - b`.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         let mut out = self.take(self.shape(a).0, self.shape(a).1);
         self.value(a).zip_map_into(self.value(b), &mut out, |x, y| x - y);
         self.push(out, Op::Sub(a, b))
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let mut out = self.take(self.shape(a).0, self.shape(a).1);
-        self.value(a).zip_map_into(self.value(b), &mut out, |x, y| x * y);
-        self.push(out, Op::Mul(a, b))
     }
 
     /// Adds a `1 x cols` row vector to every row of `x`.
@@ -332,38 +306,6 @@ impl Tape {
         self.push(out, Op::MulRowBroadcast(x, row))
     }
 
-    /// `y[i][j] = x[i][j] * col[i][0]`: gates each row of `x` by the
-    /// matching entry of an `rows x 1` column vector, fused (no
-    /// materialized broadcast of `col`). This is the ANEE
-    /// attention-weighting primitive.
-    pub fn mul_col_broadcast(&mut self, x: Var, col: Var) -> Var {
-        let r = self.shape(x).0;
-        assert_eq!(self.shape(col), (r, 1), "mul_col_broadcast: expected {r}x1 column");
-        let mut out = self.take_copy(self.value(x));
-        let colv = self.value(col);
-        for i in 0..r {
-            let m = colv.get(i, 0);
-            for o in out.row_mut(i).iter_mut() {
-                *o *= m;
-            }
-        }
-        self.push(out, Op::MulColBroadcast(x, col))
-    }
-
-    /// Matrix product.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let mut out = self.take(self.shape(a).0, self.shape(b).1);
-        self.value(a).matmul_into(self.value(b), &mut out);
-        self.push(out, Op::Matmul(a, b))
-    }
-
-    /// `a * b^T`.
-    pub fn matmul_transb(&mut self, a: Var, b: Var) -> Var {
-        let mut out = self.take(self.shape(a).0, self.shape(b).0);
-        self.value(a).matmul_transb_into(self.value(b), &mut out);
-        self.push(out, Op::MatmulTransB(a, b))
-    }
-
     /// Fused linear layer: `a * w + broadcast(bias)` as one op. Saves
     /// a tape node and an intermediate versus `matmul` followed by
     /// `add_row_broadcast`.
@@ -375,20 +317,6 @@ impl Tape {
         self.value(a).matmul_into(self.value(w), &mut out);
         out.add_bias_rowwise(self.value(bias));
         self.push(out, Op::MatmulBias(a, w, bias))
-    }
-
-    /// Scalar multiple.
-    pub fn scale(&mut self, x: Var, s: f32) -> Var {
-        let mut out = self.take(self.shape(x).0, self.shape(x).1);
-        self.value(x).map_into(&mut out, |e| e * s);
-        self.push(out, Op::Scale(x, s))
-    }
-
-    /// Adds a constant scalar to every element.
-    pub fn add_scalar(&mut self, x: Var, s: f32) -> Var {
-        let mut out = self.take(self.shape(x).0, self.shape(x).1);
-        self.value(x).map_into(&mut out, |e| e + s);
-        self.push(out, Op::AddScalar(x, s))
     }
 
     /// Multiplies `x` by a learnable `1x1` scalar variable.
@@ -437,13 +365,6 @@ impl Tape {
         self.push(out, Op::Tanh(x))
     }
 
-    /// Numerically stable softmax over each row.
-    pub fn softmax_rows(&mut self, x: Var) -> Var {
-        let mut out = self.take(self.shape(x).0, self.shape(x).1);
-        self.value(x).softmax_rows_into(&mut out);
-        self.push(out, Op::SoftmaxRows(x))
-    }
-
     /// Row-wise layer normalization with epsilon `1e-5`, no affine.
     pub fn layer_norm_rows(&mut self, x: Var) -> Var {
         let mut out = self.take(self.shape(x).0, self.shape(x).1);
@@ -486,101 +407,6 @@ impl Tape {
         let mut out = self.take(1, 1);
         out.set(0, 0, self.value(x).sum());
         self.push(out, Op::SumAll(x))
-    }
-
-    /// Column-wise mean, producing a `1 x cols` row vector (mean
-    /// pooling over a set of row embeddings).
-    pub fn mean_rows(&mut self, x: Var) -> Var {
-        let (r, c) = self.shape(x);
-        assert!(r > 0, "mean_rows: empty matrix");
-        let mut out = self.take(1, c);
-        {
-            let xv = self.value(x);
-            for row in 0..r {
-                occu_tensor::add_into(out.row_mut(0), xv.row(row));
-            }
-            let inv = 1.0 / r as f32;
-            for o in out.row_mut(0).iter_mut() {
-                *o *= inv;
-            }
-        }
-        self.push(out, Op::MeanRows(x))
-    }
-
-    /// Transpose.
-    pub fn transpose(&mut self, x: Var) -> Var {
-        let (r, c) = self.shape(x);
-        let mut out = self.take(c, r);
-        self.value(x).transpose_into(&mut out);
-        self.push(out, Op::Transpose(x))
-    }
-
-    /// Horizontal concatenation `[a | b]`.
-    pub fn hcat(&mut self, a: Var, b: Var) -> Var {
-        let (r, ca) = self.shape(a);
-        let cb = self.shape(b).1;
-        assert_eq!(self.shape(b).0, r, "hcat: row mismatch");
-        let mut out = self.take(r, ca + cb);
-        {
-            let av = self.value(a);
-            let bv = self.value(b);
-            for row in 0..r {
-                out.row_mut(row)[..ca].copy_from_slice(av.row(row));
-                out.row_mut(row)[ca..].copy_from_slice(bv.row(row));
-            }
-        }
-        self.push(out, Op::HCat(a, b))
-    }
-
-    /// Vertical concatenation (a above b).
-    pub fn vcat(&mut self, a: Var, b: Var) -> Var {
-        let (ra, c) = self.shape(a);
-        let rb = self.shape(b).0;
-        assert_eq!(self.shape(b).1, c, "vcat: column mismatch");
-        let mut out = self.take(ra + rb, c);
-        out.data_mut()[..ra * c].copy_from_slice(self.value(a).data());
-        out.data_mut()[ra * c..].copy_from_slice(self.value(b).data());
-        self.push(out, Op::VCat(a, b))
-    }
-
-    /// Column slice `[start, end)` of every row.
-    pub fn slice_cols(&mut self, x: Var, start: usize, end: usize) -> Var {
-        let (rows, cols) = self.shape(x);
-        assert!(start <= end && end <= cols, "slice_cols: {start}..{end} out of {cols} cols");
-        let mut out = self.take(rows, end - start);
-        {
-            let src = self.value(x);
-            for r in 0..rows {
-                out.row_mut(r).copy_from_slice(&src.row(r)[start..end]);
-            }
-        }
-        self.push(out, Op::SliceCols(x, start, end))
-    }
-
-    /// Gathers rows by index (differentiable; backward scatter-adds).
-    pub fn gather_rows(&mut self, x: Var, indices: &[usize]) -> Var {
-        let mut out = self.take(indices.len(), self.shape(x).1);
-        self.value(x).gather_rows_into(indices, &mut out);
-        let idx = self.take_indices(indices);
-        self.push(out, Op::GatherRows(x, idx))
-    }
-
-    /// Scatter-add: output has `out_rows` rows; row `i` of `x` is added
-    /// into output row `indices[i]`. This is the message-aggregation
-    /// primitive for GNN layers.
-    pub fn scatter_add_rows(&mut self, x: Var, indices: &[usize], out_rows: usize) -> Var {
-        let (src_rows, cols) = self.shape(x);
-        assert_eq!(indices.len(), src_rows, "scatter_add_rows: one index per row required");
-        let mut out = self.take(out_rows, cols);
-        {
-            let src = self.value(x);
-            for (i, &idx) in indices.iter().enumerate() {
-                assert!(idx < out_rows, "scatter_add_rows: index {idx} out of {out_rows}");
-                occu_tensor::add_into(out.row_mut(idx), src.row(i));
-            }
-        }
-        let idx = self.take_indices(indices);
-        self.push(out, Op::ScatterAddRows(x, idx, out_rows))
     }
 
     /// Elementwise square.
@@ -788,7 +614,6 @@ impl Tape {
                     }
                     self.acc_owned(grads, x.0, g);
                 }
-                Op::AddScalar(x, _) => self.acc_owned(grads, x.0, g),
                 Op::ScaleByScalar(x, s) => {
                     let sv = self.nodes[s.0].value.get(0, 0);
                     let mut gs_acc = 0.0f32;
@@ -913,12 +738,6 @@ impl Tape {
                     self.acc_owned(grads, x.0, gx);
                     self.recycle(g);
                 }
-                Op::Transpose(x) => {
-                    let mut gx = self.take(g.cols(), g.rows());
-                    g.transpose_into(&mut gx);
-                    self.acc_owned(grads, x.0, gx);
-                    self.recycle(g);
-                }
                 Op::HCat(a, b) => {
                     let ca = self.nodes[a.0].value.cols();
                     let mut ga = self.take(g.rows(), ca);
@@ -927,17 +746,6 @@ impl Tape {
                         ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
                         gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
                     }
-                    self.acc_owned(grads, a.0, ga);
-                    self.acc_owned(grads, b.0, gb);
-                    self.recycle(g);
-                }
-                Op::VCat(a, b) => {
-                    let ra = self.nodes[a.0].value.rows();
-                    let c = g.cols();
-                    let mut ga = self.take(ra, c);
-                    ga.data_mut().copy_from_slice(&g.data()[..ra * c]);
-                    let mut gb = self.take(g.rows() - ra, c);
-                    gb.data_mut().copy_from_slice(&g.data()[ra * c..]);
                     self.acc_owned(grads, a.0, ga);
                     self.acc_owned(grads, b.0, gb);
                     self.recycle(g);
@@ -981,6 +789,174 @@ impl Tape {
 impl Default for Tape {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Eager recording: every op computes its value now and records what
+/// backward needs.
+impl Recorder for Tape {
+    type V = Var;
+    type Idx<'a> = &'a [usize];
+
+    fn shape(&self, x: Var) -> (usize, usize) {
+        self.nodes[x.0].value.shape()
+    }
+
+    /// Copies the parameter's current value from the store; backward
+    /// accumulates into its gradient.
+    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        let v = self.take_copy(store.value(id));
+        self.push(v, Op::Param(id))
+    }
+
+    /// One fused `matmul_bias` op when there is a bias.
+    fn linear(&mut self, store: &ParamStore, w: ParamId, b: Option<ParamId>, x: Var) -> Var {
+        let w = self.param(store, w);
+        match b {
+            Some(b) => {
+                let bv = self.param(store, b);
+                self.matmul_bias(x, w, bv)
+            }
+            None => self.matmul(x, w),
+        }
+    }
+
+    fn layer_norm(&mut self, store: &ParamStore, gamma: ParamId, beta: ParamId, x: Var) -> Var {
+        let g = self.param(store, gamma);
+        let b = self.param(store, beta);
+        self.layer_norm_affine(x, g, b)
+    }
+
+    fn activation(&mut self, act: Activation, x: Var) -> Var {
+        match act {
+            Activation::None => x,
+            Activation::Relu => self.relu(x),
+            Activation::LeakyRelu(a) => self.leaky_relu(x, a),
+            Activation::Gelu => self.gelu(x),
+            Activation::Sigmoid => self.sigmoid(x),
+            Activation::Tanh => self.tanh(x),
+        }
+    }
+
+    fn scale(&mut self, x: Var, s: f32) -> Var {
+        let mut out = self.take(self.shape(x).0, self.shape(x).1);
+        self.value(x).map_into(&mut out, |e| e * s);
+        self.push(out, Op::Scale(x, s))
+    }
+
+    fn add(&mut self, a: Var, b: Var) -> Var {
+        let mut out = self.take(self.shape(a).0, self.shape(a).1);
+        self.value(a).zip_map_into(self.value(b), &mut out, |x, y| x + y);
+        self.push(out, Op::Add(a, b))
+    }
+
+    fn mul(&mut self, a: Var, b: Var) -> Var {
+        let mut out = self.take(self.shape(a).0, self.shape(a).1);
+        self.value(a).zip_map_into(self.value(b), &mut out, |x, y| x * y);
+        self.push(out, Op::Mul(a, b))
+    }
+
+    /// Fused: no materialized broadcast of `col`. This is the ANEE
+    /// attention-weighting primitive.
+    fn mul_col_broadcast(&mut self, x: Var, col: Var) -> Var {
+        let r = self.shape(x).0;
+        assert_eq!(self.shape(col), (r, 1), "mul_col_broadcast: expected {r}x1 column");
+        let mut out = self.take_copy(self.value(x));
+        let colv = self.value(col);
+        for i in 0..r {
+            let m = colv.get(i, 0);
+            for o in out.row_mut(i).iter_mut() {
+                *o *= m;
+            }
+        }
+        self.push(out, Op::MulColBroadcast(x, col))
+    }
+
+    fn matmul(&mut self, a: Var, b: Var) -> Var {
+        let mut out = self.take(self.shape(a).0, self.shape(b).1);
+        self.value(a).matmul_into(self.value(b), &mut out);
+        self.push(out, Op::Matmul(a, b))
+    }
+
+    fn matmul_transb(&mut self, a: Var, b: Var) -> Var {
+        let mut out = self.take(self.shape(a).0, self.shape(b).0);
+        self.value(a).matmul_transb_into(self.value(b), &mut out);
+        self.push(out, Op::MatmulTransB(a, b))
+    }
+
+    fn softmax_rows(&mut self, x: Var) -> Var {
+        let mut out = self.take(self.shape(x).0, self.shape(x).1);
+        self.value(x).softmax_rows_into(&mut out);
+        self.push(out, Op::SoftmaxRows(x))
+    }
+
+    fn mean_rows(&mut self, x: Var) -> Var {
+        let (r, c) = self.shape(x);
+        assert!(r > 0, "mean_rows: empty matrix");
+        let mut out = self.take(1, c);
+        {
+            let xv = self.value(x);
+            for row in 0..r {
+                occu_tensor::add_into(out.row_mut(0), xv.row(row));
+            }
+            let inv = 1.0 / r as f32;
+            for o in out.row_mut(0).iter_mut() {
+                *o *= inv;
+            }
+        }
+        self.push(out, Op::MeanRows(x))
+    }
+
+    fn hcat(&mut self, a: Var, b: Var) -> Var {
+        let (r, ca) = self.shape(a);
+        let cb = self.shape(b).1;
+        assert_eq!(self.shape(b).0, r, "hcat: row mismatch");
+        let mut out = self.take(r, ca + cb);
+        {
+            let av = self.value(a);
+            let bv = self.value(b);
+            for row in 0..r {
+                out.row_mut(row)[..ca].copy_from_slice(av.row(row));
+                out.row_mut(row)[ca..].copy_from_slice(bv.row(row));
+            }
+        }
+        self.push(out, Op::HCat(a, b))
+    }
+
+    fn slice_cols(&mut self, x: Var, start: usize, end: usize) -> Var {
+        let (rows, cols) = self.shape(x);
+        assert!(start <= end && end <= cols, "slice_cols: {start}..{end} out of {cols} cols");
+        let mut out = self.take(rows, end - start);
+        {
+            let src = self.value(x);
+            for r in 0..rows {
+                out.row_mut(r).copy_from_slice(&src.row(r)[start..end]);
+            }
+        }
+        self.push(out, Op::SliceCols(x, start, end))
+    }
+
+    /// Differentiable; backward scatter-adds.
+    fn gather_rows(&mut self, x: Var, indices: &[usize]) -> Var {
+        let mut out = self.take(indices.len(), self.shape(x).1);
+        self.value(x).gather_rows_into(indices, &mut out);
+        let idx = self.take_indices(indices);
+        self.push(out, Op::GatherRows(x, idx))
+    }
+
+    fn scatter_add_rows(&mut self, x: Var, indices: &[usize], out_rows: usize) -> Var {
+        let (src_rows, cols) = self.shape(x);
+        assert_eq!(indices.len(), src_rows, "scatter_add_rows: one index per row required");
+        let mut out = self.take(out_rows, cols);
+        {
+            let src = self.value(x);
+            for (i, &idx) in indices.iter().enumerate() {
+                assert!(idx < out_rows, "scatter_add_rows: index {idx} out of {out_rows}");
+                occu_tensor::add_into(out.row_mut(idx), src.row(i));
+            }
+        }
+        let idx = self.take_indices(indices);
+        self.push(out, Op::ScatterAddRows(x, idx, out_rows))
     }
 }
 
@@ -1158,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    fn hcat_vcat_slice_gradients_route_correctly() {
+    fn hcat_slice_gradients_route_correctly() {
         let mut store = ParamStore::new();
         let a = store.register("a", Matrix::ones(2, 2));
         let b = store.register("b", Matrix::ones(2, 3));

@@ -3,7 +3,7 @@
 //! plus algebraic identities of the recorded ops.
 
 use occu_nn::gradcheck::check_gradients;
-use occu_nn::{Activation, Mlp, ParamStore, Tape};
+use occu_nn::{Activation, Mlp, ParamStore, Recorder, Tape};
 use occu_tensor::Matrix;
 use proptest::prelude::*;
 

@@ -92,15 +92,19 @@ impl ThreadCtx {
 
 impl Drop for ThreadCtx {
     // Thread exit: move this thread's records to the retired pool and
-    // deregister the buffer. Locks are taken one at a time (never
-    // nested) so drain and exit cannot deadlock.
+    // deregister the buffer. The move happens under the buffer's lock,
+    // so a concurrent `take_spans` finds the records either still in
+    // the buffer or already retired, never in between. Only this
+    // buffer-then-pool nesting exists (`take_spans` holds one lock at
+    // a time), so drain and exit cannot deadlock.
     fn drop(&mut self) {
-        let mut records = match self.buf.lock() {
-            Ok(mut b) => std::mem::take(&mut *b),
+        match self.buf.lock() {
+            Ok(mut b) => {
+                if let Ok(mut retired) = RETIRED.lock() {
+                    retired.append(&mut b);
+                }
+            }
             Err(_) => return,
-        };
-        if let Ok(mut retired) = RETIRED.lock() {
-            retired.append(&mut records);
         }
         if let Ok(mut live) = LIVE.lock() {
             live.retain(|b| !Arc::ptr_eq(b, &self.buf));
@@ -194,14 +198,18 @@ impl Drop for SpanGuard {
 /// by start time. Spans still open stay with their guards and appear
 /// in a later drain.
 pub fn take_spans() -> Vec<SpanRecord> {
-    let mut out = std::mem::take(&mut *RETIRED.lock().expect("retired span pool poisoned"));
+    // Live buffers first, retired pool last: a thread exiting during
+    // the drain retires its records before its buffer leaves the
+    // registry, so they are in one place or the other when each is read.
     let buffers: Vec<Arc<Mutex<Vec<SpanRecord>>>> =
         LIVE.lock().expect("span buffer registry poisoned").clone();
+    let mut out = Vec::new();
     for buf in buffers {
         if let Ok(mut b) = buf.lock() {
             out.append(&mut b);
         }
     }
+    out.append(&mut RETIRED.lock().expect("retired span pool poisoned"));
     out.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then(a.id.cmp(&b.id)));
     out
 }

@@ -14,22 +14,27 @@
 //! * A liveness pass records the last instruction that reads each
 //!   register, so buffers recycle mid-program instead of at the end.
 //!
-//! Every instruction mirrors the corresponding tape-interpreter op in
-//! `occu-nn` *by construction*: the executor calls the same public
-//! `occu-tensor` kernels (`matmul_into`, `softmax_rows_into`,
-//! `layernorm_rows_into`, ...) with operands in the same order, so a
+//! [`ProgramBuilder`] implements `occu-nn`'s [`Recorder`], the trait
+//! every layer's forward pass is written against: recording a model's
+//! forward pass on a builder emits one instruction per op the tape
+//! would record, in the same order. This crate knows no model;
+//! `occu-core`'s `DnnOccu::compile_plan_with` records one. Each
+//! instruction's executor arm calls the same public `occu-tensor`
+//! kernels (`matmul_into`, `softmax_rows_into`, `layernorm_rows_into`,
+//! ...) as the tape's op, with operands in the same order, so a
 //! compiled plan is bitwise-equal to the interpreted forward pass on
 //! every ISA rung, including `OCCU_FORCE_SCALAR=1`. The one deliberate
-//! deviation is [`Instr::SpdBias`], which gathers the shortest-path
-//! bias per element instead of summing per-bucket indicator matrices;
-//! the two differ only in the sign of zero when a theta parameter is
-//! exactly `-0.0`, and that sign cannot survive the downstream
-//! softmax's `exp` (see the instruction docs).
+//! deviation is [`Instr::SpdBias`], the one op the model builds
+//! separately for each recorder: it gathers the shortest-path bias per
+//! element instead of summing per-bucket indicator matrices; the two
+//! differ only in the sign of zero when a theta parameter is exactly
+//! `-0.0`, and that sign cannot survive the downstream softmax's `exp`
+//! (see the instruction docs).
 //!
-//! The crate depends only on `occu-tensor`; the model-aware compiler
-//! that lowers a `DnnOccu` forward pass into a [`Program`] lives in
-//! `occu-core` and drives [`ProgramBuilder`].
+//! The crate depends on `occu-tensor` (kernels) and `occu-nn` (the
+//! [`Recorder`] trait, parameter store and [`Activation`] selector).
 
+use occu_nn::{Activation, ParamId, ParamStore, Recorder};
 use occu_tensor::{matmul_i8_into, Matrix, PackedB, PackedI8, ScratchArena};
 
 /// Numeric tier a plan's weight matmuls were lowered to. Tagged on
@@ -500,8 +505,9 @@ impl Program {
 
 /// Incrementally builds a [`Program`], checking operand shapes at
 /// every emit so shape bugs surface at compile time rather than as
-/// kernel panics mid-request. Emit methods return the [`Src`] of the
-/// new register.
+/// kernel panics mid-request. Its [`Recorder`] implementation emits
+/// one instruction per call and returns the [`Src`] of the new
+/// register, so a model's generic forward pass records a plan.
 pub struct ProgramBuilder {
     shapes: InputShapes,
     instrs: Vec<Instr>,
@@ -527,21 +533,10 @@ impl ProgramBuilder {
         }
     }
 
-    /// Records the numeric tier the compiler lowered weight matmuls
-    /// to; carried onto the finished [`Program`] as its tag.
+    /// Sets the numeric tier [`Recorder::linear`] lowers weight
+    /// matmuls to; carried onto the finished [`Program`] as its tag.
     pub fn set_precision(&mut self, p: Precision) {
         self.precision = p;
-    }
-
-    /// Shape of any operand (register, input, or plain weight).
-    pub fn shape(&self, s: Src) -> (usize, usize) {
-        match s {
-            Src::Reg(r) => self.reg_shapes[r as usize],
-            Src::Input(InputRef::NodeFeats) => (self.shapes.n_nodes, self.shapes.node_feat_dim),
-            Src::Input(InputRef::EdgeFeats) => (self.shapes.n_edges, self.shapes.edge_feat_dim),
-            Src::Input(InputRef::GlobalFeats) => (1, self.shapes.global_feat_dim),
-            Src::Weight(w) => self.plain[w as usize].shape(),
-        }
     }
 
     fn idx_len(&self, idx: IdxRef) -> usize {
@@ -566,7 +561,7 @@ impl ProgramBuilder {
 
     /// Snapshots and pre-packs a matmul right-hand-side weight,
     /// returning its packed-table index for [`Self::matmul_packed`].
-    pub fn packed_weight(&mut self, w: &Matrix) -> u16 {
+    fn packed_weight(&mut self, w: &Matrix) -> u16 {
         let id = self.packed.len();
         assert!(id < u16::MAX as usize, "plan: packed weight count overflow");
         self.packed.push(w.prepack_b());
@@ -575,7 +570,7 @@ impl ProgramBuilder {
 
     /// Quantizes and packs a matmul weight into int8 panels, returning
     /// its table index for [`Self::matmul_packed_i8`].
-    pub fn packed_weight_i8(&mut self, w: &Matrix) -> u16 {
+    fn packed_weight_i8(&mut self, w: &Matrix) -> u16 {
         let id = self.packed_i8.len();
         assert!(id < u16::MAX as usize, "plan: int8 weight count overflow");
         self.packed_i8.push(PackedI8::pack(w));
@@ -585,7 +580,7 @@ impl ProgramBuilder {
     /// Snapshots a plain weight (bias rows, norm gains, embedding
     /// tables, seed matrices), returning its plain-table index. Use
     /// [`Src::Weight`] to reference it as a general operand.
-    pub fn plain_weight(&mut self, w: Matrix) -> u16 {
+    fn plain_weight(&mut self, w: Matrix) -> u16 {
         let id = self.plain.len();
         assert!(id < u16::MAX as usize, "plan: plain weight count overflow");
         self.plain.push(w);
@@ -593,7 +588,7 @@ impl ProgramBuilder {
     }
 
     /// Emits `a * packed[w] (+ bias)`.
-    pub fn matmul_packed(&mut self, a: Src, w: u16, bias: Option<u16>) -> Src {
+    fn matmul_packed(&mut self, a: Src, w: u16, bias: Option<u16>) -> Src {
         let (ar, ac) = self.shape(a);
         let (k, n) = self.packed[w as usize].shape();
         assert_eq!(ac, k, "plan: matmul_packed inner dim mismatch");
@@ -608,7 +603,7 @@ impl ProgramBuilder {
     }
 
     /// Emits `a * packed_i8[w] (+ bias)`.
-    pub fn matmul_packed_i8(&mut self, a: Src, w: u16, bias: Option<u16>) -> Src {
+    fn matmul_packed_i8(&mut self, a: Src, w: u16, bias: Option<u16>) -> Src {
         let (ar, ac) = self.shape(a);
         let (k, n) = self.packed_i8[w as usize].shape();
         assert_eq!(ac, k, "plan: matmul_packed_i8 inner dim mismatch");
@@ -622,57 +617,14 @@ impl ProgramBuilder {
         self.emit((ar, n), |dst| Instr::MatmulPackedI8 { a, w, bias, dst })
     }
 
-    /// Emits `a * b`.
-    pub fn matmul(&mut self, a: Src, b: Src) -> Src {
-        let (ar, ac) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!(ac, br, "plan: matmul inner dim mismatch");
-        self.emit((ar, bc), |dst| Instr::Matmul { a, b, dst })
-    }
-
-    /// Emits `a * b^T`.
-    pub fn matmul_transb(&mut self, a: Src, b: Src) -> Src {
-        let (ar, ac) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!(ac, bc, "plan: matmul_transb inner dim mismatch");
-        self.emit((ar, br), |dst| Instr::MatmulTransB { a, b, dst })
-    }
-
-    /// Emits elementwise `a + b`.
-    pub fn add(&mut self, a: Src, b: Src) -> Src {
-        let sa = self.shape(a);
-        assert_eq!(sa, self.shape(b), "plan: add shape mismatch");
-        self.emit(sa, |dst| Instr::Add { a, b, dst })
-    }
-
-    /// Emits elementwise `a * b`.
-    pub fn mul(&mut self, a: Src, b: Src) -> Src {
-        let sa = self.shape(a);
-        assert_eq!(sa, self.shape(b), "plan: mul shape mismatch");
-        self.emit(sa, |dst| Instr::Mul { a, b, dst })
-    }
-
-    /// Emits the column-broadcast product.
-    pub fn mul_col_broadcast(&mut self, a: Src, col: Src) -> Src {
-        let sa = self.shape(a);
-        assert_eq!(self.shape(col), (sa.0, 1), "plan: mul_col_broadcast column shape mismatch");
-        self.emit(sa, |dst| Instr::MulColBroadcast { a, col, dst })
-    }
-
     /// Emits an elementwise unary.
-    pub fn unary(&mut self, a: Src, op: UnaryOp) -> Src {
+    fn unary(&mut self, a: Src, op: UnaryOp) -> Src {
         let sa = self.shape(a);
         self.emit(sa, |dst| Instr::Unary { a, op, dst })
     }
 
-    /// Emits a row-wise softmax.
-    pub fn softmax_rows(&mut self, a: Src) -> Src {
-        let sa = self.shape(a);
-        self.emit(sa, |dst| Instr::SoftmaxRows { a, dst })
-    }
-
     /// Emits fused layer-norm + affine.
-    pub fn layer_norm_affine(&mut self, a: Src, gamma: u16, beta: u16) -> Src {
+    fn layer_norm_affine(&mut self, a: Src, gamma: u16, beta: u16) -> Src {
         let sa = self.shape(a);
         assert_eq!(
             self.plain[gamma as usize].shape(),
@@ -685,42 +637,6 @@ impl ProgramBuilder {
             "plan: layer_norm beta shape mismatch"
         );
         self.emit(sa, |dst| Instr::LayerNormAffine { a, gamma, beta, dst })
-    }
-
-    /// Emits a row gather through a per-request index array.
-    pub fn gather_rows(&mut self, a: Src, idx: IdxRef) -> Src {
-        let (_, cols) = self.shape(a);
-        let rows = self.idx_len(idx);
-        self.emit((rows, cols), |dst| Instr::GatherRows { a, idx, dst })
-    }
-
-    /// Emits a row scatter-add into `out_rows` zeroed rows.
-    pub fn scatter_add_rows(&mut self, a: Src, idx: IdxRef, out_rows: usize) -> Src {
-        let (ar, cols) = self.shape(a);
-        assert_eq!(ar, self.idx_len(idx), "plan: scatter_add_rows index length mismatch");
-        self.emit((out_rows, cols), |dst| Instr::ScatterAddRows { a, idx, out_rows, dst })
-    }
-
-    /// Emits horizontal concatenation.
-    pub fn hcat(&mut self, a: Src, b: Src) -> Src {
-        let (ar, ac) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!(ar, br, "plan: hcat row mismatch");
-        self.emit((ar, ac + bc), |dst| Instr::HCat { a, b, dst })
-    }
-
-    /// Emits a column slice `[lo, hi)`.
-    pub fn slice_cols(&mut self, a: Src, lo: usize, hi: usize) -> Src {
-        let (ar, ac) = self.shape(a);
-        assert!(lo < hi && hi <= ac, "plan: slice_cols out of range");
-        self.emit((ar, hi - lo), |dst| Instr::SliceCols { a, lo, hi, dst })
-    }
-
-    /// Emits the row mean.
-    pub fn mean_rows(&mut self, a: Src) -> Src {
-        let (ar, ac) = self.shape(a);
-        assert!(ar > 0, "plan: mean_rows over zero rows");
-        self.emit((1, ac), |dst| Instr::MeanRows { a, dst })
     }
 
     /// Emits the SPD attention-bias gather (`n_nodes x n_nodes`).
@@ -766,6 +682,140 @@ impl ProgramBuilder {
             shapes: self.shapes,
             precision: self.precision,
         }
+    }
+}
+
+/// Plan recording: one instruction per op. Parameters are snapshot at
+/// record time, so a reloaded model needs fresh plans.
+impl Recorder for ProgramBuilder {
+    type V = Src;
+    type Idx<'a> = IdxRef;
+
+    /// Shape of any operand (register, input, or plain weight).
+    fn shape(&self, s: Src) -> (usize, usize) {
+        match s {
+            Src::Reg(r) => self.reg_shapes[r as usize],
+            Src::Input(InputRef::NodeFeats) => (self.shapes.n_nodes, self.shapes.node_feat_dim),
+            Src::Input(InputRef::EdgeFeats) => (self.shapes.n_edges, self.shapes.edge_feat_dim),
+            Src::Input(InputRef::GlobalFeats) => (1, self.shapes.global_feat_dim),
+            Src::Weight(w) => self.plain[w as usize].shape(),
+        }
+    }
+
+    fn param(&mut self, store: &ParamStore, id: ParamId) -> Src {
+        Src::Weight(self.plain_weight(store.value(id).clone()))
+    }
+
+    /// The precision-lowering hook: every `Linear` weight (the only
+    /// compile-time matmul right-hand sides) is snapshot at the
+    /// builder's precision. Activation-by-activation products
+    /// (attention scores/values) have no compile-time operand and
+    /// stay f32 at every tier.
+    fn linear(&mut self, store: &ParamStore, w: ParamId, b: Option<ParamId>, x: Src) -> Src {
+        let wm = store.value(w);
+        let bias = b.map(|id| self.plain_weight(store.value(id).clone()));
+        match self.precision {
+            Precision::F32 => {
+                let w = self.packed_weight(wm);
+                self.matmul_packed(x, w, bias)
+            }
+            Precision::Int8 => {
+                let w = self.packed_weight_i8(wm);
+                self.matmul_packed_i8(x, w, bias)
+            }
+        }
+    }
+
+    fn layer_norm(&mut self, store: &ParamStore, gamma: ParamId, beta: ParamId, x: Src) -> Src {
+        let gamma = self.plain_weight(store.value(gamma).clone());
+        let beta = self.plain_weight(store.value(beta).clone());
+        self.layer_norm_affine(x, gamma, beta)
+    }
+
+    fn activation(&mut self, act: Activation, x: Src) -> Src {
+        match act {
+            Activation::None => x,
+            Activation::Relu => self.unary(x, UnaryOp::Relu),
+            Activation::LeakyRelu(a) => self.unary(x, UnaryOp::LeakyRelu(a)),
+            Activation::Gelu => self.unary(x, UnaryOp::Gelu),
+            Activation::Sigmoid => self.unary(x, UnaryOp::Sigmoid),
+            Activation::Tanh => self.unary(x, UnaryOp::Tanh),
+        }
+    }
+
+    fn scale(&mut self, x: Src, s: f32) -> Src {
+        self.unary(x, UnaryOp::Scale(s))
+    }
+
+    fn add(&mut self, a: Src, b: Src) -> Src {
+        let sa = self.shape(a);
+        assert_eq!(sa, self.shape(b), "plan: add shape mismatch");
+        self.emit(sa, |dst| Instr::Add { a, b, dst })
+    }
+
+    fn mul(&mut self, a: Src, b: Src) -> Src {
+        let sa = self.shape(a);
+        assert_eq!(sa, self.shape(b), "plan: mul shape mismatch");
+        self.emit(sa, |dst| Instr::Mul { a, b, dst })
+    }
+
+    fn mul_col_broadcast(&mut self, a: Src, col: Src) -> Src {
+        let sa = self.shape(a);
+        assert_eq!(self.shape(col), (sa.0, 1), "plan: mul_col_broadcast column shape mismatch");
+        self.emit(sa, |dst| Instr::MulColBroadcast { a, col, dst })
+    }
+
+    /// Runtime right-hand sides (attention values, small parameter
+    /// vectors); weight matmuls go through [`Recorder::linear`].
+    fn matmul(&mut self, a: Src, b: Src) -> Src {
+        let (ar, ac) = self.shape(a);
+        let (br, bc) = self.shape(b);
+        assert_eq!(ac, br, "plan: matmul inner dim mismatch");
+        self.emit((ar, bc), |dst| Instr::Matmul { a, b, dst })
+    }
+
+    fn matmul_transb(&mut self, a: Src, b: Src) -> Src {
+        let (ar, ac) = self.shape(a);
+        let (br, bc) = self.shape(b);
+        assert_eq!(ac, bc, "plan: matmul_transb inner dim mismatch");
+        self.emit((ar, br), |dst| Instr::MatmulTransB { a, b, dst })
+    }
+
+    fn softmax_rows(&mut self, a: Src) -> Src {
+        let sa = self.shape(a);
+        self.emit(sa, |dst| Instr::SoftmaxRows { a, dst })
+    }
+
+    fn mean_rows(&mut self, a: Src) -> Src {
+        let (ar, ac) = self.shape(a);
+        assert!(ar > 0, "plan: mean_rows over zero rows");
+        self.emit((1, ac), |dst| Instr::MeanRows { a, dst })
+    }
+
+    fn hcat(&mut self, a: Src, b: Src) -> Src {
+        let (ar, ac) = self.shape(a);
+        let (br, bc) = self.shape(b);
+        assert_eq!(ar, br, "plan: hcat row mismatch");
+        self.emit((ar, ac + bc), |dst| Instr::HCat { a, b, dst })
+    }
+
+    fn slice_cols(&mut self, a: Src, lo: usize, hi: usize) -> Src {
+        let (ar, ac) = self.shape(a);
+        assert!(lo < hi && hi <= ac, "plan: slice_cols out of range");
+        self.emit((ar, hi - lo), |dst| Instr::SliceCols { a, lo, hi, dst })
+    }
+
+    /// Gathers through a per-request index array.
+    fn gather_rows(&mut self, a: Src, idx: IdxRef) -> Src {
+        let (_, cols) = self.shape(a);
+        let rows = self.idx_len(idx);
+        self.emit((rows, cols), |dst| Instr::GatherRows { a, idx, dst })
+    }
+
+    fn scatter_add_rows(&mut self, a: Src, idx: IdxRef, out_rows: usize) -> Src {
+        let (ar, cols) = self.shape(a);
+        assert_eq!(ar, self.idx_len(idx), "plan: scatter_add_rows index length mismatch");
+        self.emit((out_rows, cols), |dst| Instr::ScatterAddRows { a, idx, out_rows, dst })
     }
 }
 
