@@ -422,7 +422,6 @@ pub fn run_fleetgen(cfg: &FleetgenConfig) -> Result<FleetPerfReport, OccuError> 
     let server = Server::start_fleet(
         ServeConfig {
             workers: top_rung.clamp(2, 16),
-            batch_window_us: 200,
             ..ServeConfig::default()
         },
         fleet,

@@ -573,7 +573,6 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<ServeReport, OccuError> {
             let server = Server::start(
                 ServeConfig {
                     workers: cfg.concurrency.clamp(2, 16),
-                    batch_window_us: 200,
                     record: cfg.telemetry,
                     ..ServeConfig::default()
                 },

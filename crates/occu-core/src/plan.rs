@@ -24,12 +24,20 @@ use crate::train::target_to_occupancy;
 use occu_plan::{
     Executor, IdxRef, InputRef, InputShapes, PlanInputs, Precision, Program, ProgramBuilder, ProgramStats, Src,
 };
+use std::sync::{Mutex, MutexGuard};
 
-thread_local! {
-    /// One plan executor per thread, mirroring the interpreter's
-    /// `PREDICT_TAPE`: after the first execution at a given shape the
-    /// arena serves every register from recycled buffers.
-    static PLAN_EXECUTOR: std::cell::RefCell<Executor> = std::cell::RefCell::new(Executor::new());
+/// Idle plan executors, shared by the whole process. An execution
+/// takes one (or makes one when every executor is busy) and puts it
+/// back when done, so scratch memory follows the number of executions
+/// running at once rather than the number of threads, and a freshly
+/// spawned thread runs on a warm arena. The lock is held only to take
+/// or return an executor, never while a plan runs.
+static PLAN_EXECUTORS: Mutex<Vec<Executor>> = Mutex::new(Vec::new());
+
+fn idle_executors() -> MutexGuard<'static, Vec<Executor>> {
+    // A panic cannot leave the list half-updated: push and pop are
+    // the only operations under the lock.
+    PLAN_EXECUTORS.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// A [`DnnOccu`] forward pass compiled to a flat instruction program
@@ -71,7 +79,12 @@ impl CompiledPlan {
             degree_bucket: &fg.degree_bucket,
             spd: &fg.spd,
         };
-        PLAN_EXECUTOR.with(|e| e.borrow_mut().run_scalar(&self.program, &inputs))
+        let mut executor = idle_executors().pop().unwrap_or_default();
+        // A panicking execution drops its executor instead of
+        // returning it to the pool.
+        let out = executor.run_scalar(&self.program, &inputs);
+        idle_executors().push(executor);
+        out
     }
 
     /// Predicts the occupancy — the plan-compiled equivalent of

@@ -84,12 +84,10 @@ pub trait OccuPredictor: Send + Sync {
         data.samples.par_iter().map(|s| self.predict(&s.features)).collect()
     }
 
-    /// Predicts a micro-batch of already-featurized graphs, in input
-    /// order, fanning the independent forward passes across all
-    /// available workers. This is the serving path: `occu-serve`'s
-    /// batch collector coalesces concurrent requests and feeds them
-    /// through here, so one slow giant graph and many small ones
-    /// still cost one parallel sweep.
+    /// Predicts a batch of already-featurized graphs, in input order,
+    /// fanning the independent forward passes across all available
+    /// workers, so one slow giant graph and many small ones still cost
+    /// one parallel sweep.
     fn predict_batch(&self, fgs: &[FeaturizedGraph]) -> Vec<f32> {
         fgs.par_iter().map(|fg| self.predict(fg)).collect()
     }

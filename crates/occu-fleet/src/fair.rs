@@ -12,13 +12,11 @@
 //! immediately (the server turns that into `429 Too Many Requests`)
 //! rather than blocking the submitting worker thread.
 //!
-//! Blocking pops take a timeout, so collector threads can interleave
-//! shutdown polling exactly like the mpsc `recv_timeout` loop this
-//! replaces.
+//! Nothing ever blocks on the queue: the workers that submit items
+//! also drain them, with [`FairQueue::try_pop`].
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard};
 
 struct Inner<T> {
     lanes: Vec<VecDeque<T>>,
@@ -31,7 +29,6 @@ struct Inner<T> {
 /// Bounded weighted-fair queue over a fixed set of lanes.
 pub struct FairQueue<T> {
     inner: Mutex<Inner<T>>,
-    ready: Condvar,
     weights: Vec<u32>,
     cap: usize,
 }
@@ -46,7 +43,6 @@ impl<T> FairQueue<T> {
         let lanes = weights.iter().map(|_| VecDeque::new()).collect();
         Self {
             inner: Mutex::new(Inner { lanes, credits: weights[0], cursor: 0, len: 0 }),
-            ready: Condvar::new(),
             weights,
             cap: cap.max(1),
         }
@@ -87,34 +83,11 @@ impl<T> FairQueue<T> {
         }
         inner.lanes[lane].push_back(item);
         inner.len += 1;
-        drop(inner);
-        self.ready.notify_one();
         Ok(())
     }
 
     /// Dequeues the next item under the weighted round-robin policy,
-    /// waiting up to `timeout` for one to arrive. Returns the lane it
-    /// came from.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<(usize, T)> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.lock();
-        loop {
-            if let Some(out) = self.take_next(&mut inner) {
-                return Some(out);
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (guard, _timed_out) = self
-                .ready
-                .wait_timeout(inner, remaining)
-                .unwrap_or_else(|p| p.into_inner());
-            inner = guard;
-        }
-    }
-
-    /// Dequeues without waiting.
+    /// without waiting. Returns the lane it came from.
     pub fn try_pop(&self) -> Option<(usize, T)> {
         self.take_next(&mut self.lock())
     }
@@ -143,7 +116,6 @@ impl<T> FairQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn weighted_interleave_under_backlog() {
@@ -185,30 +157,5 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.lane_depth(0), 1);
         assert_eq!(q.push(7, 4), Err(4), "out-of-range lane is rejected");
-    }
-
-    #[test]
-    fn pop_timeout_on_empty_returns_none_promptly() {
-        let q: FairQueue<u32> = FairQueue::new(4, &[1]);
-        let t0 = Instant::now();
-        assert!(q.pop_timeout(Duration::from_millis(20)).is_none());
-        assert!(t0.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn blocking_pop_sees_concurrent_push() {
-        let q: Arc<FairQueue<u32>> = Arc::new(FairQueue::new(4, &[1, 1]));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_timeout(Duration::from_secs(5)))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        q.push(1, 42).expect("push");
-        match consumer.join().expect("join") {
-            Some((lane, item)) => {
-                assert_eq!((lane, item), (1, 42));
-            }
-            None => panic!("consumer timed out despite a push"),
-        }
     }
 }

@@ -17,8 +17,8 @@
 //!             FairQueue          bounded, weighted-fair dequeue per
 //!                  │             tenant; overflow → 429
 //!                  ▼
-//!           shard collector      (lives in occu-serve) shard LruCache
-//!                                miss → compiled-plan predict
+//!          request's worker      (lives in occu-serve) shard LruCache
+//!                                miss → drains the queue, runs plans
 //! ```
 //!
 //! * [`registry`] — the hot-reloadable [`ModelRegistry`] slot
@@ -36,7 +36,7 @@
 //! * [`plan_cache`] — compiled-plan LRU keyed by graph shape and
 //!   model version; one instance per tenant.
 //!
-//! Everything is std-only: locks are `Mutex`/`RwLock`/`Condvar`,
+//! Everything is std-only: locks are `Mutex`/`RwLock`,
 //! hashing is an inlined splitmix64 — no external dependencies.
 
 #![warn(clippy::unwrap_used)]

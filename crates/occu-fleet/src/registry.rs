@@ -2,10 +2,10 @@
 //! multi-tenant fleet of named slots.
 //!
 //! The live model sits behind `RwLock<Arc<LoadedModel>>`. Request
-//! handlers and the batch collector clone the `Arc` out (cheap, no
-//! contention beyond the read lock), so a `POST /reload` swapping the
-//! slot never disturbs work already in flight: those batches finish
-//! on the model version they snapshotted. Each successful (re)load
+//! handlers and the threads running queued jobs clone the `Arc` out
+//! (cheap, no contention beyond the read lock), so a `POST /reload`
+//! swapping the slot never disturbs work already in flight: those
+//! jobs finish on the model version they snapshotted. Each successful (re)load
 //! bumps a monotonically increasing version, which is part of the
 //! prediction cache key — stale cached predictions from an older
 //! model can never be served after a reload.
@@ -192,7 +192,7 @@ impl TenantSlot {
     }
 
     /// Switches the tenant's serving precision. Takes effect on the
-    /// next plan-cache lookup; in-flight batches keep the plan they
+    /// next plan-cache lookup; in-flight jobs keep the plan they
     /// already resolved.
     pub fn set_precision(&self, p: Precision) {
         self.precision.store(precision_code(p), Ordering::Relaxed);

@@ -24,9 +24,9 @@
 //!                 │ miss                     config + device + version
 //!        per-shard fair queue           bounded; weighted round-robin
 //!                 │                     across tenants; full -> 429
-//!          shard collector              coalesces misses into
-//!                 │                     micro-batches (window/max);
-//!                 │                     a panicking batch fails with 500s
+//!        the request's worker           drains the queue until its own
+//!                 │                     replies are in; a panicking job
+//!                 │                     fails its request with a 500
 //!          compiled plans               per-tenant PlanCache, f32 or
 //!                 │                     int8, one forward per graph
 //!                 │
@@ -42,7 +42,8 @@
 //!   consistent-hash ring, fair queue, and token buckets).
 //! * [`registry`] — the hot-reloadable model slot and the
 //!   multi-tenant [`FleetRegistry`] (re-exported from `occu-fleet`).
-//! * [`batch`] — the per-shard micro-batch collector threads.
+//! * [`batch`] — the queued cache-miss job and [`batch::run_job`],
+//!   which the draining workers call.
 //! * [`server`] — the listener, worker pool, router, shards, and
 //!   graceful drain ([`Server::shutdown`] completes every accepted
 //!   request before returning).

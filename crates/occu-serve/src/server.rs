@@ -7,9 +7,8 @@
 //!   the queue is full the connection gets an immediate `503` instead
 //!   of growing memory (backpressure by construction);
 //! * `workers` threads each pulling connections off the queue and
-//!   speaking keep-alive HTTP/1.1;
-//! * `shards` collector threads (see [`crate::batch`]), each draining
-//!   its own weighted-fair miss queue.
+//!   speaking keep-alive HTTP/1.1, and running cache misses themselves
+//!   (see [`crate::batch`]).
 //!
 //! Request routing: the worker resolves the spec's tenant against the
 //! [`FleetRegistry`] (token-bucket admission, over-rate → `429` with
@@ -17,16 +16,19 @@
 //! over a consistent-hash [`HashRing`] to one shard. The route hash
 //! deliberately excludes the model *version*, so a tenant's keys keep
 //! their shard across hot-reloads and the shard's cache stays warm for
-//! everything the reload did not invalidate. Misses in the shard's
-//! cache enqueue on the shard's fair queue for the collector.
+//! everything the reload did not invalidate. A miss in the shard's
+//! cache enqueues a job on the shard's weighted-fair queue; the worker
+//! then drains that queue on its own thread, running queued jobs in
+//! weighted round-robin order until its own replies are in or the
+//! queue is empty, and blocks only on jobs other workers are running.
 //!
 //! Shutdown: [`Server::shutdown`] flips the shared flag, joins the
 //! accept thread (no new connections), then joins the workers — which
 //! first drain every connection already queued, answering each with
-//! `Connection: close` — and finally the collectors, which drain
-//! their queues before exiting. Nothing accepted is ever dropped.
+//! `Connection: close`. A worker never leaves a request before every
+//! job it queued has been run, so nothing accepted is ever dropped.
 
-use crate::batch::{BatchConfig, PredictJob, PredictReply, ShardCollector};
+use crate::batch::{run_job, PredictJob, PredictReply};
 use crate::cache::{CacheStats, LruCache};
 use crate::http::{self, ReadOutcome, Request};
 use crate::registry::ModelRegistry;
@@ -41,6 +43,7 @@ use occu_gpusim::DeviceSpec;
 use occu_graph::{CompGraph, GraphFingerprint};
 use occu_models::{ModelConfig, ModelId};
 use occu_obs::{Counter, Histogram};
+use rayon::prelude::*;
 use serde::Value;
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -48,7 +51,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -59,8 +62,8 @@ const BUILTIN_DEVICES: &str = "a100, rtx2080ti, p40, v100, t4";
 /// Upper bound on specs per `/predict_batch` call.
 const MAX_BATCH_ITEMS: usize = 256;
 
-/// How long a worker waits for the collector's reply before giving
-/// the client a 500. Far above any sane batch latency.
+/// How long a worker waits for a job another worker is running before
+/// giving the client a 500. Far above any sane prediction latency.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Per-shard miss-queue depth. Workers that find their shard's queue
@@ -81,15 +84,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Accept-queue depth; overflow is answered with 503.
     pub queue_cap: usize,
-    /// Micro-batch collection window, microseconds.
-    pub batch_window_us: u64,
-    /// Max predictions folded into one batch.
-    pub max_batch: usize,
     /// Total prediction-cache budget, split evenly across shards
     /// (0 disables caching).
     pub cache_cap: usize,
-    /// In-process shard count: each shard owns one cache slice,
-    /// one fair queue, and one collector thread.
+    /// In-process shard count: each shard owns one cache slice and
+    /// one fair queue of cache-miss jobs.
     pub shards: usize,
     /// Max accepted request-body size in bytes.
     pub max_body_bytes: usize,
@@ -114,8 +113,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_cap: 128,
-            batch_window_us: 1000,
-            max_batch: 32,
             cache_cap: 12288,
             shards: 2,
             max_body_bytes: 4 * 1024 * 1024,
@@ -138,12 +135,6 @@ impl ServeConfig {
         }
         if self.queue_cap == 0 {
             return Err(OccuError::config("serve --queue", "must be at least 1"));
-        }
-        if self.max_batch == 0 || self.max_batch > 1024 {
-            return Err(OccuError::config(
-                "serve --max-batch",
-                format!("must be in 1..=1024, got {}", self.max_batch),
-            ));
         }
         if self.shards == 0 || self.shards > 64 {
             return Err(OccuError::config(
@@ -222,8 +213,8 @@ enum CacheKey {
 /// The shard-routing hash: everything identifying in the cache key
 /// **except the model version**, finished through `splitmix64`.
 /// Excluding the version keeps a key on the same shard across
-/// hot-reloads, so the shard's cache and collector affinity survive a
-/// version bump instead of re-shuffling the whole fleet.
+/// hot-reloads, so the shard's cache survives a version bump instead
+/// of re-shuffling the whole fleet.
 fn route_hash(key: &CacheKey) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
@@ -276,16 +267,19 @@ struct Outcome {
     model_version: u64,
 }
 
-/// Spec resolution result: answered from cache, or waiting on a
-/// shard collector.
+/// Spec resolution result: answered from cache, or a job queued on
+/// a shard.
 enum Prepared {
     Done(Outcome),
-    Pending {
-        key: CacheKey,
-        shard: usize,
-        rx: Receiver<PredictReply>,
-        outcome: Outcome, // occupancy filled in on reply
-    },
+    Pending(Pending),
+}
+
+/// A cache miss queued on `shard`, waiting for its reply.
+struct Pending {
+    key: CacheKey,
+    shard: usize,
+    rx: Receiver<PredictReply>,
+    outcome: Outcome, // occupancy filled in on reply
 }
 
 /// An accepted connection waiting for a worker, stamped so the first
@@ -314,6 +308,11 @@ struct ObsHandles {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     request_us: Arc<Histogram>,
+    /// Drain passes that ran at least one job, the jobs they ran, and
+    /// the jobs per pass.
+    batches: Arc<Counter>,
+    predictions: Arc<Counter>,
+    batch_size: Arc<Histogram>,
 }
 
 impl ObsHandles {
@@ -329,15 +328,18 @@ impl ObsHandles {
                 "serve.request_us",
                 &[50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0, 25000.0],
             ),
+            batches: occu_obs::counter("serve.batches"),
+            predictions: occu_obs::counter("serve.predictions"),
+            batch_size: occu_obs::histogram("serve.batch.size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
         }
     }
 }
 
-/// One shard: a cache slice plus the bounded fair queue its
-/// collector drains. Shard identity comes from the consistent-hash
-/// ring, so a key always lands on the same shard.
+/// One shard: a cache slice plus the bounded fair queue of its cache
+/// misses. Shard identity comes from the consistent-hash ring, so a
+/// key always lands on the same shard.
 struct Shard {
-    queue: Arc<FairQueue<PredictJob>>,
+    queue: FairQueue<PredictJob>,
     cache: Mutex<LruCache<CacheKey, CachedPrediction>>,
 }
 
@@ -361,7 +363,7 @@ struct ServerState {
 }
 
 /// A running server. Dropping without [`Server::shutdown`] stops it
-/// too, joining only the collectors, but `shutdown` is the intended
+/// too, without joining its threads, but `shutdown` is the intended
 /// exit: it drains every accepted request and returns the drain
 /// statistics.
 pub struct Server {
@@ -369,7 +371,6 @@ pub struct Server {
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    collectors: Vec<ShardCollector>,
     ticker: Option<JoinHandle<()>>,
 }
 
@@ -381,8 +382,8 @@ impl Server {
         Self::start_fleet(cfg, FleetRegistry::single(registry))
     }
 
-    /// Binds, spawns the thread pool and per-shard collectors, and
-    /// starts serving the whole fleet.
+    /// Binds, spawns the thread pool, and starts serving the whole
+    /// fleet.
     pub fn start_fleet(cfg: ServeConfig, fleet: Arc<FleetRegistry>) -> occu_error::Result<Server> {
         cfg.validate()?;
         let listener = TcpListener::bind(&cfg.addr).io_context(format!("bind {}", cfg.addr))?;
@@ -397,26 +398,15 @@ impl Server {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let weights = fleet.weights();
-        let batch_cfg = BatchConfig {
-            window: Duration::from_micros(cfg.batch_window_us),
-            max_batch: cfg.max_batch,
-        };
         // cache_cap 0 disables caching outright; otherwise the budget
         // is split evenly and every shard gets at least one slot.
         let shard_cap = if cfg.cache_cap == 0 { 0 } else { (cfg.cache_cap / cfg.shards).max(1) };
-        let mut shards = Vec::with_capacity(cfg.shards);
-        let mut collectors = Vec::with_capacity(cfg.shards);
-        for shard_id in 0..cfg.shards {
-            let queue = Arc::new(FairQueue::new(SHARD_QUEUE_DEPTH, &weights));
-            collectors.push(ShardCollector::start(
-                shard_id as u32,
-                batch_cfg,
-                Arc::clone(&fleet),
-                Arc::clone(&queue),
-                Arc::clone(&shutdown),
-            ));
-            shards.push(Shard { queue, cache: Mutex::new(LruCache::new(shard_cap)) });
-        }
+        let shards = (0..cfg.shards)
+            .map(|_| Shard {
+                queue: FairQueue::new(SHARD_QUEUE_DEPTH, &weights),
+                cache: Mutex::new(LruCache::new(shard_cap)),
+            })
+            .collect();
         let ring = HashRing::new(cfg.shards as u32);
 
         let (conn_tx, conn_rx) = mpsc::sync_channel::<QueuedConn>(cfg.queue_cap);
@@ -469,7 +459,6 @@ impl Server {
             addr,
             accept: Some(accept),
             workers,
-            collectors,
             ticker: Some(ticker),
         })
     }
@@ -508,18 +497,15 @@ impl Server {
         if let Some(h) = self.ticker.take() {
             let _ = h.join();
         }
-        // Workers are gone, so no new jobs can arrive; each collector
-        // drains its queue and exits at its next idle poll.
-        self.collectors.clear();
         occu_obs::info!("serve: drained and stopped");
         snapshot_stats(&self.state)
     }
 }
 
 impl Drop for Server {
-    /// Raises the shutdown flag so the collectors, which join when they
-    /// drop, can exit: a server dropped without [`Server::shutdown`] (a
-    /// test panicking mid-way) would otherwise block forever.
+    /// Raises the shutdown flag, so a server dropped without
+    /// [`Server::shutdown`] (a test panicking mid-way) stops accepting
+    /// and its threads exit on their own; nothing is joined.
     fn drop(&mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
     }
@@ -819,8 +805,8 @@ fn tenant_names(state: &ServerState) -> String {
 }
 
 /// Resolves one spec: tenant lookup → admission → cache tiers →
-/// featurize-and-submit. Cache hit → `Done`; miss → a `Pending` reply
-/// to harvest from the owning shard's collector.
+/// featurize-and-submit. Cache hit → `Done`; miss → a `Pending` job
+/// on the owning shard's queue.
 fn resolve_spec(
     state: &ServerState,
     spec: &PredictSpec,
@@ -963,11 +949,7 @@ fn resolve_spec(
     let (fp, features) = built;
 
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let job = PredictJob {
-        features,
-        submitted_at: Instant::now(),
-        reply: reply_tx,
-    };
+    let job = PredictJob { features, reply: reply_tx };
     if state.shards[shard].queue.push(slot.index, job).is_err() {
         slot.throttled.fetch_add(1, Ordering::Relaxed);
         state.stats.throttled.fetch_add(1, Ordering::SeqCst);
@@ -979,59 +961,123 @@ fn resolve_spec(
     }
 
     let pending = outcome(f32::NAN, false, fp.to_hex());
-    Ok(Prepared::Pending { key, shard, rx: reply_rx, outcome: pending })
+    Ok(Prepared::Pending(Pending { key, shard, rx: reply_rx, outcome: pending }))
 }
 
-/// Runs a set of specs through resolve-then-collect so all cache
-/// misses sit in the collector window *together* — this is what makes
-/// `/predict_batch` an actual batch.
+/// Resolves every spec, then runs the request's cache misses: the
+/// worker drains the shard queues holding them (see [`drain`]) and
+/// blocks only on jobs other workers are running. `/predict` and
+/// `/predict_batch` share this path.
 fn predict_many(
     state: &ServerState,
     specs: &[Result<PredictSpec, ServeError>],
     ctx: &mut RequestCtx,
 ) -> Vec<Result<Outcome, ServeError>> {
-    let prepared: Vec<Result<Prepared, ServeError>> = specs
-        .iter()
-        .map(|spec| match spec {
+    let mut results = Vec::with_capacity(specs.len());
+    let mut pending = Vec::new();
+    for spec in specs {
+        let prepared = match spec {
             Ok(s) => resolve_spec(state, s, ctx),
             Err(e) => Err(e.clone()),
+        };
+        match prepared {
+            Ok(Prepared::Done(outcome)) => results.push(Ok(outcome)),
+            Ok(Prepared::Pending(p)) => {
+                pending.push((results.len(), p));
+                results.push(Err(ServeError::internal("prediction pending")));
+            }
+            Err(e) => results.push(Err(e)),
+        }
+    }
+    if pending.is_empty() {
+        return results;
+    }
+
+    let waiting_since = ctx.recording().then(Instant::now);
+    let mut replies = vec![None; pending.len()];
+    drain(state, &pending, &mut replies);
+    // Whatever is still missing is running on another worker.
+    let replies: Vec<Result<PredictReply, ServeError>> = pending
+        .iter()
+        .zip(replies)
+        .map(|((_, p), reply)| {
+            reply.unwrap_or_else(|| {
+                p.rx.recv_timeout(REPLY_TIMEOUT).map_err(|e| match e {
+                    RecvTimeoutError::Timeout => ServeError::internal("prediction timed out"),
+                    RecvTimeoutError::Disconnected => prediction_failed(),
+                })
+            })
         })
         .collect();
-    prepared
-        .into_iter()
-        .map(|p| match p {
-            Err(e) => Err(e),
-            Ok(Prepared::Done(outcome)) => Ok(outcome),
-            Ok(Prepared::Pending { key, shard, rx, mut outcome }) => {
-                let wait_start = ctx.recording().then(Instant::now);
-                let reply = rx.recv_timeout(REPLY_TIMEOUT).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => ServeError::internal("prediction timed out"),
-                    // The collector dropped the job's reply sender
-                    // without answering: its batch failed.
-                    RecvTimeoutError::Disconnected => {
-                        ServeError::internal("prediction failed")
-                    }
-                })?;
-                if let Some(t0) = wait_start {
-                    // The collector reports this job's own compute time;
-                    // the rest of the wait is batch-window dwell (plus
-                    // channel overhead, charged to dwell as well).
-                    let waited_us = t0.elapsed().as_secs_f64() * 1e6;
-                    ctx.add(Stage::Predict, reply.predict_us);
-                    ctx.add(Stage::BatchDwell, (waited_us - reply.predict_us).max(0.0));
+    if let Some(t0) = waiting_since {
+        // The request waited from its last submission to its last
+        // reply; its own model invocations are predict, the rest of
+        // that wait (queued, or this worker running other requests'
+        // jobs) is dwell.
+        let waited_us = t0.elapsed().as_secs_f64() * 1e6;
+        let predict_us: f64 = replies.iter().flatten().map(|r| r.predict_us).sum();
+        ctx.add(Stage::Predict, predict_us);
+        ctx.add(Stage::BatchDwell, (waited_us - predict_us).max(0.0));
+    }
+
+    for ((i, p), reply) in pending.into_iter().zip(replies) {
+        let Pending { key, shard, mut outcome, .. } = p;
+        results[i] = reply.map(|reply| {
+            outcome.occupancy = reply.occupancy;
+            ctx.time(Stage::CacheLookup, || {
+                let cached = CachedPrediction {
+                    occupancy: reply.occupancy,
+                    fingerprint: outcome.fingerprint.clone(),
+                };
+                state.shards[shard].lock_cache().insert(key, cached);
+            });
+            outcome
+        });
+    }
+    results
+}
+
+/// A job whose reply sender dropped unanswered: it panicked.
+fn prediction_failed() -> ServeError {
+    ServeError::internal("prediction failed")
+}
+
+/// Runs queued jobs on this thread, whichever request they belong to,
+/// until every reply in `pending` has arrived or the queues of the
+/// shards still owing one are empty. Each pass pops, from every such
+/// shard, up to as many jobs as the request still awaits there, and
+/// runs them with `par_iter` — inline when there is one, so a single
+/// miss never leaves the worker's thread. A reply still missing on
+/// return belongs to a job another worker is running.
+fn drain(
+    state: &ServerState,
+    pending: &[(usize, Pending)],
+    replies: &mut [Option<Result<PredictReply, ServeError>>],
+) {
+    loop {
+        let mut awaited = vec![0usize; state.shards.len()];
+        for ((_, p), reply) in pending.iter().zip(replies.iter_mut()) {
+            if reply.is_none() {
+                match p.rx.try_recv() {
+                    Ok(r) => *reply = Some(Ok(r)),
+                    Err(TryRecvError::Disconnected) => *reply = Some(Err(prediction_failed())),
+                    Err(TryRecvError::Empty) => awaited[p.shard] += 1,
                 }
-                outcome.occupancy = reply.occupancy;
-                ctx.time(Stage::CacheLookup, || {
-                    let cached = CachedPrediction {
-                        occupancy: reply.occupancy,
-                        fingerprint: outcome.fingerprint.clone(),
-                    };
-                    state.shards[shard].lock_cache().insert(key, cached);
-                });
-                Ok(outcome)
             }
-        })
-        .collect()
+        }
+        let jobs: Vec<(usize, PredictJob)> = awaited
+            .iter()
+            .zip(&state.shards)
+            .flat_map(|(&n, shard)| std::iter::from_fn(|| shard.queue.try_pop()).take(n))
+            .collect();
+        if jobs.is_empty() {
+            return;
+        }
+        state.obs.batches.inc();
+        state.obs.predictions.add(jobs.len() as u64);
+        state.obs.batch_size.observe(jobs.len() as f64);
+        jobs.into_par_iter().for_each(|(lane, job)| run_job(&state.fleet, lane, job));
+    }
 }
 
 fn outcome_value(o: &Outcome) -> Value {
@@ -1261,7 +1307,7 @@ fn mirror_gauges(state: &ServerState) {
     // how much `/debug/tracez` raced the request path.
     occu_obs::gauge("flight.dropped").set(state.telemetry.recorder.dropped() as f64);
     // Compiled-plan caches, summed across tenants: how many shapes
-    // are resident and how often the shard collectors reused a plan
+    // are resident and how often queued jobs reused a plan
     // vs compiled one.
     let ps = plan_stats_total(state);
     occu_obs::gauge("serve.plan.cached").set(ps.len as f64);
@@ -1399,8 +1445,6 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
     let mut cfg = BTreeMap::new();
     cfg.insert("workers".to_string(), num(state.cfg.workers as f64));
     cfg.insert("queue_cap".to_string(), num(state.cfg.queue_cap as f64));
-    cfg.insert("batch_window_us".to_string(), num(state.cfg.batch_window_us as f64));
-    cfg.insert("max_batch".to_string(), num(state.cfg.max_batch as f64));
     cfg.insert("cache_cap".to_string(), num(state.cfg.cache_cap as f64));
     cfg.insert("shards".to_string(), num(state.cfg.shards as f64));
     cfg.insert("max_body_bytes".to_string(), num(state.cfg.max_body_bytes as f64));

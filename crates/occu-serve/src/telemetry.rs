@@ -46,7 +46,8 @@ pub enum Stage {
     CacheLookup = 2,
     /// Graph construction + featurization on a cache miss.
     Featurize = 3,
-    /// Micro-batch collection dwell: job submitted → model invoked.
+    /// Job submitted → its execution starts: time queued on the shard,
+    /// or the worker running other requests' jobs first.
     BatchDwell = 4,
     /// The request's own model invocation: plan lookup (and compile
     /// on a plan-cache miss) plus plan execution.

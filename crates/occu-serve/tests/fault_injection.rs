@@ -20,7 +20,6 @@ fn start_server() -> Server {
     let registry = Arc::new(ModelRegistry::from_model(model, "in-memory.json"));
     let cfg = ServeConfig {
         workers: 2,
-        batch_window_us: 200,
         max_body_bytes: 64 * 1024,
         ..ServeConfig::default()
     };

@@ -260,7 +260,7 @@ fn post_predict(server: &Server, body: &str) -> u16 {
 fn live_metrics_parse_as_prometheus_text_format() {
     let model = DnnOccu::new(DnnOccuConfig { hidden: 8, ..DnnOccuConfig::fast() }, 7);
     let registry = Arc::new(ModelRegistry::from_model(model, "in-memory.json"));
-    let cfg = ServeConfig { workers: 2, batch_window_us: 200, ..ServeConfig::default() };
+    let cfg = ServeConfig { workers: 2, ..ServeConfig::default() };
     let server = Server::start(cfg, registry).expect("server start");
 
     // Populate counters, histograms, and the stage windows.

@@ -23,7 +23,6 @@ fn start_server() -> Server {
     let registry = Arc::new(ModelRegistry::from_model(tiny_model(7), "in-memory.json"));
     let cfg = ServeConfig {
         workers: 2,
-        batch_window_us: 200,
         ..ServeConfig::default()
     };
     Server::start(cfg, registry).expect("server start")
@@ -177,7 +176,6 @@ fn telemetry_off_still_serves_with_empty_traces() {
     let registry = Arc::new(ModelRegistry::from_model(tiny_model(7), "in-memory.json"));
     let cfg = ServeConfig {
         workers: 2,
-        batch_window_us: 200,
         record: false,
         ..ServeConfig::default()
     };
@@ -309,7 +307,6 @@ fn hot_reload_swaps_model_and_invalidates_cache_by_version() {
     let server = Server::start(
         ServeConfig {
             workers: 2,
-            batch_window_us: 200,
             ..ServeConfig::default()
         },
         registry,
@@ -366,7 +363,6 @@ fn reload_never_serves_stale_plans() {
     let server = Server::start(
         ServeConfig {
             workers: 2,
-            batch_window_us: 200,
             ..ServeConfig::default()
         },
         registry,
@@ -473,7 +469,6 @@ fn start_fleet(dir: &std::path::Path) -> Server {
     Server::start_fleet(
         ServeConfig {
             workers: 2,
-            batch_window_us: 200,
             ..ServeConfig::default()
         },
         fleet,
@@ -621,7 +616,7 @@ fn fleet_tenants_share_weights_but_not_plans_across_precisions() {
 
     // Two tenants over the *same* weights file; only the precision
     // differs. cache_cap 0 disables the prediction caches so every
-    // request reaches the collector and therefore the plan cache.
+    // request runs a queued job and therefore reaches the plan cache.
     let fleet = FleetRegistry::builder()
         .model("full", Arc::new(ModelRegistry::load(&weights).expect("load")), 1, None)
         .model_with_precision(
@@ -636,7 +631,6 @@ fn fleet_tenants_share_weights_but_not_plans_across_precisions() {
     let server = Server::start_fleet(
         ServeConfig {
             workers: 2,
-            batch_window_us: 200,
             cache_cap: 0,
             ..ServeConfig::default()
         },
@@ -761,5 +755,107 @@ fn fleet_statusz_reports_every_resident_model() {
     assert!(parsed.get("l2").is_none(), "no l2 object: {statusz}");
 
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_queued_job_is_answered_under_concurrent_cold_load() {
+    use occu_models::{ModelConfig, ModelId};
+    let dir = std::env::temp_dir().join(format!("occu_serve_drain_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let weights = dir.join("shared.json");
+    std::fs::write(&weights, tiny_model(9).to_json()).expect("write weights");
+
+    // Two tenants over one weights file, weighted 3:1, so both lanes
+    // of every shard queue fill. cache_cap 0: every item is a queued
+    // job, and each worker must drain until its own replies are in.
+    let fleet = FleetRegistry::builder()
+        .model("heavy", Arc::new(ModelRegistry::load(&weights).expect("load")), 3, None)
+        .model("light", Arc::new(ModelRegistry::load(&weights).expect("load")), 1, None)
+        .build()
+        .expect("fleet");
+    let server = Server::start_fleet(
+        ServeConfig { workers: 4, shards: 2, cache_cap: 0, ..ServeConfig::default() },
+        Arc::clone(&fleet),
+    )
+    .expect("fleet server start");
+    let addr = server.local_addr();
+
+    // 8 clients x 15 distinct cold specs, sent as /predict singles and
+    // /predict_batch groups of 3-5 items.
+    const MODELS: [ModelId; 3] = [ModelId::LeNet, ModelId::AlexNet, ModelId::Rnn];
+    const GROUPS: [usize; 6] = [1, 4, 1, 3, 1, 5];
+    let spec = |client: usize, k: usize| {
+        let tenant = if (client + k).is_multiple_of(2) { "heavy" } else { "light" };
+        (tenant, MODELS[k % MODELS.len()], 1 + client * 15 + k)
+    };
+    let served: Vec<Vec<(usize, usize, u32)>> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..8)
+            .map(|client| {
+                s.spawn(move || {
+                    let mut answers = Vec::new();
+                    let mut k = 0;
+                    for size in GROUPS {
+                        let bodies: Vec<String> = (k..k + size)
+                            .map(|i| {
+                                let (tenant, id, batch) = spec(client, i);
+                                format!(
+                                    r#"{{"tenant": "{tenant}", "model": "{}", "batch": {batch}}}"#,
+                                    id.name()
+                                )
+                            })
+                            .collect();
+                        let occupancies: Vec<f64> = if size == 1 {
+                            let (status, body) = request(addr, "POST", "/predict", &bodies[0]);
+                            assert_eq!(status, 200, "body: {body}");
+                            vec![occupancy_of(&body)]
+                        } else {
+                            let batch = format!("[{}]", bodies.join(","));
+                            let (status, body) = request(addr, "POST", "/predict_batch", &batch);
+                            assert_eq!(status, 200, "body: {body}");
+                            let parsed: serde_json::Value =
+                                serde_json::from_str(&body).expect("batch body is JSON");
+                            assert_eq!(parsed.get("errors").and_then(|v| v.as_f64()), Some(0.0), "{body}");
+                            parsed
+                                .get("results")
+                                .and_then(|v| v.as_array())
+                                .expect("results array")
+                                .iter()
+                                .map(|r| {
+                                    r.get("predicted_occupancy")
+                                        .and_then(|v| v.as_f64())
+                                        .unwrap_or_else(|| panic!("item failed: {body}"))
+                                })
+                                .collect()
+                        };
+                        assert_eq!(occupancies.len(), size);
+                        for (i, occ) in (k..).zip(occupancies) {
+                            answers.push((client, i, (occ as f32).to_bits()));
+                        }
+                        k += size;
+                    }
+                    answers
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect()
+    });
+
+    // Every answer matches the in-process plan of its tenant's model.
+    let mut checked = 0;
+    for (client, k, bits) in served.into_iter().flatten() {
+        let (tenant, id, batch) = spec(client, k);
+        let loaded = fleet.get(tenant).expect("tenant slot").registry.current();
+        let graph = id.build(&ModelConfig { batch_size: batch, ..id.default_config() });
+        let fg = occu_core::features::featurize(&graph, &occu_gpusim::DeviceSpec::a100());
+        let want = loaded.model.compile_plan_for(&fg).predict(&fg);
+        assert_eq!(bits, want.to_bits(), "{tenant} {} batch {batch}", id.name());
+        checked += 1;
+    }
+    assert_eq!(checked, 8 * 15);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.errors, 0);
+    assert_eq!(stats.throttled, 0);
     std::fs::remove_dir_all(&dir).ok();
 }

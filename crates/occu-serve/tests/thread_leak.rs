@@ -33,7 +33,6 @@ fn faults_and_shutdown_leak_no_threads() {
     let server = Server::start(
         ServeConfig {
             workers: 3,
-            batch_window_us: 200,
             max_body_bytes: 64 * 1024,
             ..ServeConfig::default()
         },
