@@ -7,8 +7,8 @@
 //! occu train    --out model.json --device a100 --configs 8 --epochs 50 --workers 0
 //! occu predict  --weights model.json --model ResNet-50 --batch 32 --device a100 [--json]
 //! occu schedule --jobs 24 --gpus 4 [--weights model.json] [--trace jobs.csv] [--seed 1]
-//! occu serve    --weights model.json --port 7071 --threads 4 [--precision int8]   # batched, cached HTTP server
-//! occu serve    --model a=x.json --model b=y.json --rate b=200 --weight b=3 --precision b=int8 --shards 4   # multi-model fleet
+//! occu serve    --weights model.json --port 7071 --threads 4 [--precision int8]   # cached HTTP server
+//! occu serve    --model a=x.json --model b=y.json --rate b=200 --weight b=3 --precision b=int8   # multi-model fleet
 //! ```
 //!
 //! `--device` accepts a built-in name (`a100`) or a path to a device
@@ -75,7 +75,7 @@ fn flag_spec(command: &str) -> Option<Spec> {
         "serve" => (
             &[
                 "weights", "model", "weight", "rate", "precision", "addr", "port", "threads",
-                "queue", "cache", "shards", "slo-us", "recorder",
+                "queue", "cache", "slo-us", "recorder",
             ],
             &[],
         ),
@@ -124,7 +124,7 @@ fn die_usage(msg: &str) -> ! {
     eprintln!("  occu train    [--out model.json] [--device a100] [--configs 8] [--epochs 50] [--hidden 64] [--workers 0] [--test-fraction 0.2]");
     eprintln!("  occu predict  --weights model.json --model ResNet-50 [--batch 32] [--device a100] [--json]");
     eprintln!("  occu schedule [--jobs 24] [--gpus 4] [--weights model.json] [--trace jobs.csv] [--save-trace jobs.csv] [--seed 1]");
-    eprintln!("  occu serve    --weights model.json [--addr 127.0.0.1] [--port 7071] [--threads 4] [--queue 128] [--cache 12288] [--shards 2] [--slo-us 5000] [--recorder 256] [--precision f32|int8]");
+    eprintln!("  occu serve    --weights model.json [--addr 127.0.0.1] [--port 7071] [--threads 4] [--queue 128] [--cache 12288] [--slo-us 5000] [--recorder 256] [--precision f32|int8]");
     eprintln!("  occu serve    --model a=x.json --model b=y.json [--weight b=3] [--rate b=200] [--precision b=int8] ...   # multi-model fleet (repeatable)");
     eprintln!("--device takes a built-in name or a device-spec JSON path");
     eprintln!("observability (any command): --trace-out spans.jsonl --metrics-out metrics.json --log-level info");
@@ -508,8 +508,8 @@ fn build_fleet(args: &Args) -> Result<std::sync::Arc<occu_serve::FleetRegistry>,
     Ok(builder.build()?)
 }
 
-/// `occu serve` — runs the sharded, cached multi-model
-/// prediction server until SIGTERM/SIGINT, then drains in-flight work
+/// `occu serve` — runs the cached multi-model prediction
+/// server until SIGTERM/SIGINT, then drains in-flight work
 /// and reports counters.
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let defaults = occu_serve::ServeConfig::default();
@@ -519,10 +519,9 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             args.get_or("addr", "127.0.0.1"),
             args.usize_or("port", 7071)?
         ),
-        workers: args.usize_or("threads", 4)?,
-        queue_cap: args.usize_or("queue", 128)?,
+        workers: args.usize_or("threads", defaults.workers)?,
+        queue_cap: args.usize_or("queue", defaults.queue_cap)?,
         cache_cap: args.usize_or("cache", defaults.cache_cap)?,
-        shards: args.usize_or("shards", defaults.shards)?,
         slo_us: args.f64_or("slo-us", defaults.slo_us)?,
         recorder_cap: args.usize_or("recorder", defaults.recorder_cap)?,
         ..defaults

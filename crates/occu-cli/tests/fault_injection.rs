@@ -49,10 +49,11 @@ fn usage_errors_exit_2() {
 fn flags_a_command_does_not_accept_exit_2() {
     // Retired and misplaced flags are rejected by name instead of
     // silently swallowing the argument after them.
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["serve", "--weights", "m.json", "--l2-cache", "8"], "unknown flag --l2-cache"),
         (&["serve", "--weights", "m.json", "--batch-window-us", "1000"], "unknown flag --batch-window-us"),
         (&["serve", "--weights", "m.json", "--max-batch", "32"], "unknown flag --max-batch"),
+        (&["serve", "--weights", "m.json", "--shards", "2"], "unknown flag --shards"),
         (&["serve", "--no-plan", "--weights", "m.json"], "unknown flag --no-plan"),
         (&["predict", "--plan", "--weights", "m.json", "--model", "LeNet"], "unknown flag --plan"),
         (&["models", "--device", "a100"], "unknown flag --device"),

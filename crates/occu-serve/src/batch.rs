@@ -1,8 +1,8 @@
 //! Cache-miss jobs and the one function that runs them.
 //!
 //! A worker thread submits one [`PredictJob`] per cache miss onto the
-//! owning shard's bounded [`occu_fleet::FairQueue`] (one lane per
-//! tenant), then drains that queue itself: it pops jobs in weighted
+//! server's bounded [`occu_fleet::FairQueue`] (one lane per tenant),
+//! then drains that queue itself: it pops jobs in weighted
 //! round-robin order, whichever request they belong to, and hands each
 //! to [`run_job`] until its own replies are in or the queue is empty
 //! (see `predict_many` in [`crate::server`]). No thread waits for
@@ -48,7 +48,7 @@ pub struct PredictReply {
     pub predict_us: f64,
 }
 
-/// Runs one job popped from `lane` of a shard queue on the calling
+/// Runs one job popped from `lane` of the miss queue on the calling
 /// thread and sends its reply. A panicking forward pass is contained
 /// here: the job's reply sender drops, and the caller carries on.
 pub fn run_job(fleet: &FleetRegistry, lane: usize, job: PredictJob) {
@@ -77,10 +77,9 @@ pub fn run_job(fleet: &FleetRegistry, lane: usize, job: PredictJob) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::ModelRegistry;
     use occu_core::dataset::make_sample;
     use occu_core::{DnnOccu, DnnOccuConfig};
-    use occu_fleet::FairQueue;
+    use occu_fleet::{FairQueue, ModelRegistry};
     use occu_gpusim::DeviceSpec;
     use occu_models::ModelId;
     use std::sync::mpsc::{self, TryRecvError};

@@ -18,11 +18,9 @@
 //!        │   lookup + token-bucket      over-rate -> 429 Retry-After
 //!        │   admission (occu-fleet)
 //!        │         │
-//!        │    consistent-hash ring      fingerprint -> shard (stable
-//!        │         │                    across reloads)
-//!        └── shard LRU cache           key: tenant + fingerprint/
+//!        └── prediction LRU cache       key: tenant + fingerprint/
 //!                 │ miss                     config + device + version
-//!        per-shard fair queue           bounded; weighted round-robin
+//!            fair miss queue            bounded; weighted round-robin
 //!                 │                     across tenants; full -> 429
 //!        the request's worker           drains the queue until its own
 //!                 │                     replies are in; a panicking job
@@ -37,16 +35,15 @@
 //!
 //! * [`http`] — minimal HTTP/1.1 request/response framing with hard
 //!   header/body limits; anything outside the subset is a clean 4xx.
-//! * [`cache`] — an order-tracked LRU with hit/miss/eviction counters
-//!   (re-exported from `occu-fleet`, which also provides the
-//!   consistent-hash ring, fair queue, and token buckets).
-//! * [`registry`] — the hot-reloadable model slot and the
-//!   multi-tenant [`FleetRegistry`] (re-exported from `occu-fleet`).
+//! * `occu-fleet` provides the building blocks: the prediction LRU,
+//!   the fair queue, token buckets, plan caches, and the hot-reloadable
+//!   [`ModelRegistry`] slots of the multi-tenant [`FleetRegistry`].
 //! * [`batch`] — the queued cache-miss job and [`batch::run_job`],
 //!   which the draining workers call.
-//! * [`server`] — the listener, worker pool, router, shards, and
-//!   graceful drain ([`Server::shutdown`] completes every accepted
-//!   request before returning).
+//! * [`server`] — the listener, worker pool, router, the one
+//!   prediction cache and miss queue, and graceful drain
+//!   ([`Server::shutdown`] completes every accepted request before
+//!   returning).
 //!
 //! ## Endpoints
 //!
@@ -55,9 +52,9 @@
 //! | `/predict`       | POST   | `{"model": "...", "batch": N, ...}` or `{"graph": {...}}`; optional `"tenant"` selects a fleet model |
 //! | `/predict_batch` | POST   | array of the same specs                   |
 //! | `/healthz`       | GET    | —                                         |
-//! | `/metrics`       | GET    | — (Prometheus text exposition: typed families, histogram buckets, per-stage `serve_stage_us` summaries, per-tenant/per-shard families) |
+//! | `/metrics`       | GET    | — (Prometheus text exposition: typed families, histogram buckets, per-stage `serve_stage_us` summaries, per-tenant families) |
 //! | `/reload`        | POST   | optional `{"path": "model.json", "model": "tenant"}` |
-//! | `/debug/statusz` | GET    | — (uptime, per-model fleet info, ISA, config, counters, shards) |
+//! | `/debug/statusz` | GET    | — (uptime, per-model fleet info, ISA, config, counters, cache, miss queue depth) |
 //! | `/debug/tracez`  | GET    | — (recent + notable request traces)       |
 //! | `/debug/varz`    | GET    | — (raw `occu-obs` metrics snapshot JSON)  |
 //!
@@ -77,17 +74,7 @@ pub mod http;
 pub mod server;
 pub mod telemetry;
 
-// The cache, plan-cache, and registry layers moved to `occu-fleet`
-// so the fleet primitives and the server share one implementation;
-// module re-exports keep every pre-fleet path working.
-pub use occu_fleet::{cache, plan_cache, registry};
-
-pub use cache::{CacheStats, LruCache};
-pub use occu_fleet::{
-    FairQueue, FleetBuilder, FleetRegistry, HashRing, Precision, TenantSlot, TokenBucket,
-};
-pub use plan_cache::PlanCache;
-pub use registry::{LoadedModel, ModelRegistry};
+pub use occu_fleet::{CacheStats, FleetRegistry, ModelRegistry, Precision};
 pub use server::{DrainStats, ServeConfig, Server};
 pub use telemetry::{RequestCtx, Stage, Telemetry, STAGE_NAMES};
 
@@ -142,7 +129,7 @@ impl ServeError {
     }
 
     /// 429 — per-tenant admission control rejected the request
-    /// (token bucket exhausted or the tenant's shard queue is full).
+    /// (token bucket exhausted or the miss queue is full).
     /// `retry_after_s` is surfaced as the `Retry-After` header.
     pub fn throttled(msg: impl Into<String>, retry_after_s: f64) -> Self {
         let mut e = Self::new(429, msg);

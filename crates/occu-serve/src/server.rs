@@ -1,5 +1,5 @@
-//! The server proper: listener, worker pool, router, shards, and
-//! graceful drain.
+//! The server proper: listener, worker pool, router, and graceful
+//! drain.
 //!
 //! Threading model:
 //!
@@ -12,15 +12,12 @@
 //!
 //! Request routing: the worker resolves the spec's tenant against the
 //! [`FleetRegistry`] (token-bucket admission, over-rate → `429` with
-//! `Retry-After`), builds the tenant-scoped cache key, and routes it
-//! over a consistent-hash [`HashRing`] to one shard. The route hash
-//! deliberately excludes the model *version*, so a tenant's keys keep
-//! their shard across hot-reloads and the shard's cache stays warm for
-//! everything the reload did not invalidate. A miss in the shard's
-//! cache enqueues a job on the shard's weighted-fair queue; the worker
-//! then drains that queue on its own thread, running queued jobs in
-//! weighted round-robin order until its own replies are in or the
-//! queue is empty, and blocks only on jobs other workers are running.
+//! `Retry-After`) and looks the tenant-scoped, version-keyed cache key
+//! up in the server's one prediction cache. A miss enqueues a job on
+//! the server's one weighted-fair miss queue; the worker then drains
+//! that queue on its own thread, running queued jobs in weighted
+//! round-robin order until its own replies are in or the queue is
+//! empty, and blocks only on jobs other workers are running.
 //!
 //! Shutdown: [`Server::shutdown`] flips the shared flag, joins the
 //! accept thread (no new connections), then joins the workers — which
@@ -29,16 +26,13 @@
 //! job it queued has been run, so nothing accepted is ever dropped.
 
 use crate::batch::{run_job, PredictJob, PredictReply};
-use crate::cache::{CacheStats, LruCache};
 use crate::http::{self, ReadOutcome, Request};
-use crate::registry::ModelRegistry;
 use crate::telemetry::{RequestCtx, Stage, Telemetry};
 use crate::ServeError;
 use occu_core::features::featurize;
 use occu_core::Precision;
 use occu_error::{IoContext, OccuError};
-use occu_fleet::ring::splitmix64;
-use occu_fleet::{FairQueue, FleetRegistry, HashRing, TenantSlot};
+use occu_fleet::{CacheStats, FairQueue, FleetRegistry, LruCache, ModelRegistry, TenantSlot};
 use occu_gpusim::DeviceSpec;
 use occu_graph::{CompGraph, GraphFingerprint};
 use occu_models::{ModelConfig, ModelId};
@@ -66,10 +60,10 @@ const MAX_BATCH_ITEMS: usize = 256;
 /// giving the client a 500. Far above any sane prediction latency.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Per-shard miss-queue depth. Workers that find their shard's queue
-/// full answer `429` — the shard is genuinely saturated, and the
-/// bounded queue is what keeps a flood from growing memory.
-const SHARD_QUEUE_DEPTH: usize = 1024;
+/// Miss-queue depth. Workers that find the queue full answer `429` —
+/// the server is genuinely saturated, and the bounded queue is what
+/// keeps a flood from growing memory.
+const MISS_QUEUE_DEPTH: usize = 2048;
 
 /// The `/metrics` Content-Type mandated by the Prometheus text
 /// exposition format.
@@ -84,12 +78,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Accept-queue depth; overflow is answered with 503.
     pub queue_cap: usize,
-    /// Total prediction-cache budget, split evenly across shards
-    /// (0 disables caching).
+    /// Prediction-cache capacity in entries (0 disables caching).
     pub cache_cap: usize,
-    /// In-process shard count: each shard owns one cache slice and
-    /// one fair queue of cache-miss jobs.
-    pub shards: usize,
     /// Max accepted request-body size in bytes.
     pub max_body_bytes: usize,
     /// Latency SLO in microseconds; requests over this (or erroring)
@@ -114,7 +104,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_cap: 128,
             cache_cap: 12288,
-            shards: 2,
             max_body_bytes: 4 * 1024 * 1024,
             slo_us: 5000.0,
             recorder_cap: 256,
@@ -135,12 +124,6 @@ impl ServeConfig {
         }
         if self.queue_cap == 0 {
             return Err(OccuError::config("serve --queue", "must be at least 1"));
-        }
-        if self.shards == 0 || self.shards > 64 {
-            return Err(OccuError::config(
-                "serve --shards",
-                format!("must be in 1..=64, got {}", self.shards),
-            ));
         }
         if self.max_body_bytes < 1024 {
             return Err(OccuError::config(
@@ -175,11 +158,11 @@ pub struct DrainStats {
     /// Connections bounced with 503 at the accept queue.
     pub rejected: u64,
     /// Predictions bounced with 429 by per-tenant admission control
-    /// (token bucket exhausted or shard queue full).
+    /// (token bucket exhausted or miss queue full).
     pub throttled: u64,
     /// Successful model reloads.
     pub reloads: u64,
-    /// Prediction-cache counters, summed over the shard caches.
+    /// Prediction-cache counters.
     pub cache: CacheStats,
 }
 
@@ -208,35 +191,6 @@ enum CacheKey {
         device: String,
         version: u64,
     },
-}
-
-/// The shard-routing hash: everything identifying in the cache key
-/// **except the model version**, finished through `splitmix64`.
-/// Excluding the version keeps a key on the same shard across
-/// hot-reloads, so the shard's cache survives a version bump instead
-/// of re-shuffling the whole fleet.
-fn route_hash(key: &CacheKey) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    match key {
-        CacheKey::Named { tenant, model, batch, channels, seq, device, version: _ } => {
-            0u8.hash(&mut h);
-            tenant.hash(&mut h);
-            model.hash(&mut h);
-            batch.hash(&mut h);
-            channels.hash(&mut h);
-            seq.hash(&mut h);
-            device.hash(&mut h);
-        }
-        CacheKey::Graph { tenant, fp, device, version: _ } => {
-            1u8.hash(&mut h);
-            tenant.hash(&mut h);
-            fp.hash(&mut h);
-            device.hash(&mut h);
-        }
-    }
-    splitmix64(h.finish())
 }
 
 #[derive(Clone)]
@@ -268,16 +222,15 @@ struct Outcome {
 }
 
 /// Spec resolution result: answered from cache, or a job queued on
-/// a shard.
+/// the miss queue.
 enum Prepared {
     Done(Outcome),
     Pending(Pending),
 }
 
-/// A cache miss queued on `shard`, waiting for its reply.
+/// A queued cache miss, waiting for its reply.
 struct Pending {
     key: CacheKey,
-    shard: usize,
     rx: Receiver<PredictReply>,
     outcome: Outcome, // occupancy filled in on reply
 }
@@ -335,31 +288,25 @@ impl ObsHandles {
     }
 }
 
-/// One shard: a cache slice plus the bounded fair queue of its cache
-/// misses. Shard identity comes from the consistent-hash ring, so a
-/// key always lands on the same shard.
-struct Shard {
+struct ServerState {
+    cfg: ServeConfig,
+    fleet: Arc<FleetRegistry>,
+    /// The bounded miss queue, one weighted-fair lane per tenant.
     queue: FairQueue<PredictJob>,
+    /// The prediction cache, keyed per tenant and model version.
     cache: Mutex<LruCache<CacheKey, CachedPrediction>>,
+    shutdown: Arc<AtomicBool>,
+    stats: Stats,
+    obs: ObsHandles,
+    telemetry: Telemetry,
 }
 
-impl Shard {
+impl ServerState {
     fn lock_cache(&self) -> MutexGuard<'_, LruCache<CacheKey, CachedPrediction>> {
         // A poisoned cache lock only means a panicking thread held it;
         // the LRU structure is updated atomically enough to reuse.
         self.cache.lock().unwrap_or_else(|p| p.into_inner())
     }
-}
-
-struct ServerState {
-    cfg: ServeConfig,
-    fleet: Arc<FleetRegistry>,
-    shards: Vec<Shard>,
-    ring: HashRing,
-    shutdown: Arc<AtomicBool>,
-    stats: Stats,
-    obs: ObsHandles,
-    telemetry: Telemetry,
 }
 
 /// A running server. Dropping without [`Server::shutdown`] stops it
@@ -396,26 +343,13 @@ impl Server {
         occu_obs::gauge("serve.model_version")
             .set(fleet.default_slot().registry.current().version as f64);
 
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let weights = fleet.weights();
-        // cache_cap 0 disables caching outright; otherwise the budget
-        // is split evenly and every shard gets at least one slot.
-        let shard_cap = if cfg.cache_cap == 0 { 0 } else { (cfg.cache_cap / cfg.shards).max(1) };
-        let shards = (0..cfg.shards)
-            .map(|_| Shard {
-                queue: FairQueue::new(SHARD_QUEUE_DEPTH, &weights),
-                cache: Mutex::new(LruCache::new(shard_cap)),
-            })
-            .collect();
-        let ring = HashRing::new(cfg.shards as u32);
-
         let (conn_tx, conn_rx) = mpsc::sync_channel::<QueuedConn>(cfg.queue_cap);
         let telemetry = Telemetry::new(cfg.record, cfg.trace_spans, cfg.slo_us, cfg.recorder_cap);
         let state = Arc::new(ServerState {
+            queue: FairQueue::new(MISS_QUEUE_DEPTH, &fleet.weights()),
+            cache: Mutex::new(LruCache::new(cfg.cache_cap)),
             fleet,
-            shards,
-            ring,
-            shutdown,
+            shutdown: Arc::new(AtomicBool::new(false)),
             stats: Stats::default(),
             obs: ObsHandles::new(),
             telemetry,
@@ -449,10 +383,9 @@ impl Server {
         };
 
         occu_obs::info!(
-            "serve: listening on {addr} with {} workers, {} models, {} shards",
+            "serve: listening on {addr} with {} workers, {} models",
             state.cfg.workers,
-            state.fleet.len(),
-            state.cfg.shards
+            state.fleet.len()
         );
         Ok(Server {
             state,
@@ -512,15 +445,7 @@ impl Drop for Server {
 }
 
 fn snapshot_stats(state: &ServerState) -> DrainStats {
-    let mut cache = CacheStats::default();
-    for shard in &state.shards {
-        let s = shard.lock_cache().stats();
-        cache.hits += s.hits;
-        cache.misses += s.misses;
-        cache.evictions += s.evictions;
-        cache.len += s.len;
-        cache.capacity += s.capacity;
-    }
+    let cache = state.lock_cache().stats();
     DrainStats {
         requests: state.stats.requests.load(Ordering::SeqCst),
         errors: state.stats.errors.load(Ordering::SeqCst),
@@ -683,7 +608,7 @@ fn route(
             }
             ("/predict", "POST") => handle_predict(state, &req.body, ctx),
             ("/predict_batch", "POST") => handle_predict_batch(state, &req.body, ctx),
-            ("/reload", "POST") => handle_reload(state, &req.body),
+            ("/reload", "POST") => handle_reload(state, &req.body, ctx),
             ("/debug/statusz", "GET") => render_statusz(state),
             ("/debug/tracez", "GET") => {
                 Ok((200, "application/json", render_tracez(state).into_bytes()))
@@ -804,9 +729,9 @@ fn tenant_names(state: &ServerState) -> String {
         .join(", ")
 }
 
-/// Resolves one spec: tenant lookup → admission → cache tiers →
+/// Resolves one spec: tenant lookup → admission → cache lookup →
 /// featurize-and-submit. Cache hit → `Done`; miss → a `Pending` job
-/// on the owning shard's queue.
+/// on the miss queue.
 fn resolve_spec(
     state: &ServerState,
     spec: &PredictSpec,
@@ -899,7 +824,6 @@ fn resolve_spec(
         (key, None)
     };
 
-    let shard = state.ring.route(route_hash(&key)) as usize;
     let outcome = |occupancy: f32, cached: bool, fingerprint: String| Outcome {
         occupancy,
         cached,
@@ -910,17 +834,15 @@ fn resolve_spec(
         model_version: version,
     };
 
-    if let Some(hit) =
-        ctx.time(Stage::CacheLookup, || state.shards[shard].lock_cache().get(&key).cloned())
-    {
+    if let Some(hit) = ctx.time(Stage::CacheLookup, || state.lock_cache().get(&key).cloned()) {
         state.obs.cache_hits.inc();
         return Ok(Prepared::Done(outcome(hit.occupancy, true, hit.fingerprint)));
     }
     state.obs.cache_misses.inc();
 
     // Full miss: obtain the graph (building the named model now if
-    // the caches could not spare us), fingerprint, featurize, submit
-    // to the owning shard's fair queue under the tenant's lane.
+    // the cache could not spare us), fingerprint, featurize, submit
+    // to the miss queue under the tenant's lane.
     let built = ctx.time(Stage::Featurize, || {
         catch_unwind(AssertUnwindSafe(|| {
             let graph = match graph {
@@ -950,24 +872,21 @@ fn resolve_spec(
 
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let job = PredictJob { features, reply: reply_tx };
-    if state.shards[shard].queue.push(slot.index, job).is_err() {
+    if state.queue.push(slot.index, job).is_err() {
         slot.throttled.fetch_add(1, Ordering::Relaxed);
         state.stats.throttled.fetch_add(1, Ordering::SeqCst);
         state.obs.throttled.inc();
-        return Err(ServeError::throttled(
-            format!("shard {shard} queue is full, retry later"),
-            1.0,
-        ));
+        return Err(ServeError::throttled("miss queue is full, retry later", 1.0));
     }
 
     let pending = outcome(f32::NAN, false, fp.to_hex());
-    Ok(Prepared::Pending(Pending { key, shard, rx: reply_rx, outcome: pending }))
+    Ok(Prepared::Pending(Pending { key, rx: reply_rx, outcome: pending }))
 }
 
 /// Resolves every spec, then runs the request's cache misses: the
-/// worker drains the shard queues holding them (see [`drain`]) and
-/// blocks only on jobs other workers are running. `/predict` and
-/// `/predict_batch` share this path.
+/// worker drains the miss queue (see [`drain`]) and blocks only on
+/// jobs other workers are running. `/predict` and `/predict_batch`
+/// share this path.
 fn predict_many(
     state: &ServerState,
     specs: &[Result<PredictSpec, ServeError>],
@@ -1021,7 +940,7 @@ fn predict_many(
     }
 
     for ((i, p), reply) in pending.into_iter().zip(replies) {
-        let Pending { key, shard, mut outcome, .. } = p;
+        let Pending { key, mut outcome, .. } = p;
         results[i] = reply.map(|reply| {
             outcome.occupancy = reply.occupancy;
             ctx.time(Stage::CacheLookup, || {
@@ -1029,7 +948,7 @@ fn predict_many(
                     occupancy: reply.occupancy,
                     fingerprint: outcome.fingerprint.clone(),
                 };
-                state.shards[shard].lock_cache().insert(key, cached);
+                state.lock_cache().insert(key, cached);
             });
             outcome
         });
@@ -1043,33 +962,29 @@ fn prediction_failed() -> ServeError {
 }
 
 /// Runs queued jobs on this thread, whichever request they belong to,
-/// until every reply in `pending` has arrived or the queues of the
-/// shards still owing one are empty. Each pass pops, from every such
-/// shard, up to as many jobs as the request still awaits there, and
-/// runs them with `par_iter` — inline when there is one, so a single
-/// miss never leaves the worker's thread. A reply still missing on
-/// return belongs to a job another worker is running.
+/// until every reply in `pending` has arrived or the miss queue is
+/// empty. Each pass pops up to as many jobs as the request still
+/// awaits, and runs them with `par_iter` — inline when there is one,
+/// so a single miss never leaves the worker's thread. A reply still
+/// missing on return belongs to a job another worker is running.
 fn drain(
     state: &ServerState,
     pending: &[(usize, Pending)],
     replies: &mut [Option<Result<PredictReply, ServeError>>],
 ) {
     loop {
-        let mut awaited = vec![0usize; state.shards.len()];
+        let mut awaited = 0;
         for ((_, p), reply) in pending.iter().zip(replies.iter_mut()) {
             if reply.is_none() {
                 match p.rx.try_recv() {
                     Ok(r) => *reply = Some(Ok(r)),
                     Err(TryRecvError::Disconnected) => *reply = Some(Err(prediction_failed())),
-                    Err(TryRecvError::Empty) => awaited[p.shard] += 1,
+                    Err(TryRecvError::Empty) => awaited += 1,
                 }
             }
         }
-        let jobs: Vec<(usize, PredictJob)> = awaited
-            .iter()
-            .zip(&state.shards)
-            .flat_map(|(&n, shard)| std::iter::from_fn(|| shard.queue.try_pop()).take(n))
-            .collect();
+        let jobs: Vec<(usize, PredictJob)> =
+            std::iter::from_fn(|| state.queue.try_pop()).take(awaited).collect();
         if jobs.is_empty() {
             return;
         }
@@ -1173,47 +1088,51 @@ fn handle_predict_batch(
     })
 }
 
+/// `POST /reload`. Decoding the body and the weights file is parse
+/// work, so both are charged to [`Stage::Parse`].
 fn handle_reload(
     state: &ServerState,
     body: &[u8],
+    ctx: &mut RequestCtx,
 ) -> Result<(u16, &'static str, Vec<u8>), ServeError> {
-    let (path, model, precision): (Option<String>, Option<String>, Option<Precision>) =
+    type ReloadArgs = (Option<String>, Option<String>, Option<Precision>);
+    let (path, model, precision) = ctx.time(Stage::Parse, || -> Result<ReloadArgs, ServeError> {
         if body.is_empty() {
-            (None, None, None)
-        } else {
-            let value = parse_body(body)?;
-            let obj = value
-                .as_object()
-                .ok_or_else(|| ServeError::bad_request("reload body must be a JSON object"))?;
-            for key in obj.keys() {
-                if key != "path" && key != "model" && key != "precision" {
-                    return Err(ServeError::bad_request(format!(
-                        "unknown field '{key}' (allowed: path, model, precision)"
-                    )));
-                }
+            return Ok((None, None, None));
+        }
+        let value = parse_body(body)?;
+        let obj = value
+            .as_object()
+            .ok_or_else(|| ServeError::bad_request("reload body must be a JSON object"))?;
+        for key in obj.keys() {
+            if key != "path" && key != "model" && key != "precision" {
+                return Err(ServeError::bad_request(format!(
+                    "unknown field '{key}' (allowed: path, model, precision)"
+                )));
             }
-            let str_field = |name: &str| -> Result<Option<String>, ServeError> {
-                match obj.get(name) {
-                    None => Ok(None),
-                    Some(v) => Ok(Some(
-                        v.as_str()
-                            .ok_or_else(|| {
-                                ServeError::bad_request(format!("field '{name}' must be a string"))
-                            })?
-                            .to_string(),
-                    )),
-                }
-            };
-            let precision = match str_field("precision")? {
-                None => None,
-                Some(text) => Some(Precision::parse(&text).ok_or_else(|| {
-                    ServeError::bad_request(format!(
-                        "unknown precision '{text}' (allowed: f32, int8)"
-                    ))
-                })?),
-            };
-            (str_field("path")?, str_field("model")?, precision)
+        }
+        let str_field = |name: &str| -> Result<Option<String>, ServeError> {
+            match obj.get(name) {
+                None => Ok(None),
+                Some(v) => Ok(Some(
+                    v.as_str()
+                        .ok_or_else(|| {
+                            ServeError::bad_request(format!("field '{name}' must be a string"))
+                        })?
+                        .to_string(),
+                )),
+            }
         };
+        let precision = match str_field("precision")? {
+            None => None,
+            Some(text) => Some(Precision::parse(&text).ok_or_else(|| {
+                ServeError::bad_request(format!(
+                    "unknown precision '{text}' (allowed: f32, int8)"
+                ))
+            })?),
+        };
+        Ok((str_field("path")?, str_field("model")?, precision))
+    })?;
     let slot = match model.as_deref() {
         Some(name) => state.fleet.get(name).ok_or_else(|| {
             ServeError::not_found(format!(
@@ -1223,9 +1142,8 @@ fn handle_reload(
         })?,
         None => state.fleet.default_slot(),
     };
-    let loaded = slot
-        .registry
-        .reload(path.as_deref().map(Path::new))
+    let loaded = ctx
+        .time(Stage::Parse, || slot.registry.reload(path.as_deref().map(Path::new)))
         .map_err(ServeError::from)?;
     // Precision switches only after the weights load: a failed reload
     // leaves both the model and the serving precision untouched.
@@ -1245,7 +1163,7 @@ fn handle_reload(
         loaded.path.display()
     );
     // Old-version prediction-cache entries are unreachable (version
-    // is in the key) and will age out of the LRUs naturally. Compiled
+    // is in the key) and will age out of the LRU naturally. Compiled
     // plans carry snapshotted weights, so besides the same version
     // keying they are dropped eagerly to release their packed panels.
     // Only this tenant's plans: the rest of the fleet keeps its heat.
@@ -1283,6 +1201,7 @@ fn mirror_gauges(state: &ServerState) {
     occu_obs::gauge("serve.cache.len").set(stats.cache.len as f64);
     occu_obs::gauge("serve.cache.evictions").set(stats.cache.evictions as f64);
     occu_obs::gauge("serve.cache.hit_rate").set(stats.cache.hit_rate());
+    occu_obs::gauge("serve.miss_queue.depth").set(state.queue.len() as f64);
     // Scratch-arena high-water mark across all worker tapes. Flat after
     // warmup == the steady-state forward path is allocation-free.
     occu_obs::gauge("serve.arena.allocated_bytes")
@@ -1318,7 +1237,7 @@ fn mirror_gauges(state: &ServerState) {
 
 /// Prometheus text exposition: the typed registry dump, the per-stage
 /// and end-to-end rolling-percentile summaries, and the labeled
-/// per-tenant / per-shard fleet families.
+/// per-tenant fleet families.
 fn render_metrics(state: &ServerState) -> String {
     use occu_obs::prom;
     use std::fmt::Write as _;
@@ -1376,17 +1295,6 @@ fn render_metrics(state: &ServerState) -> String {
             slot.precision().name()
         );
     }
-
-    // Per-shard families: queue depth and the cache slice.
-    let mut shard_family = |name: &str, kind: &str, value: &dyn Fn(&Shard) -> f64| {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (i, shard) in state.shards.iter().enumerate() {
-            let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", value(shard));
-        }
-    };
-    shard_family("serve_shard_queue_depth", "gauge", &|s| s.queue.len() as f64);
-    shard_family("serve_shard_cache_len", "gauge", &|s| s.lock_cache().stats().len as f64);
-    shard_family("serve_shard_cache_hits", "counter", &|s| s.lock_cache().stats().hits as f64);
     out
 }
 
@@ -1428,25 +1336,10 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
         models.insert(slot.name.to_string(), Value::Object(m));
     }
 
-    let shards: Vec<Value> = state
-        .shards
-        .iter()
-        .map(|shard| {
-            let c = shard.lock_cache().stats();
-            let mut m = BTreeMap::new();
-            m.insert("queue_depth".to_string(), num(shard.queue.len() as f64));
-            m.insert("cache_len".to_string(), num(c.len as f64));
-            m.insert("cache_hits".to_string(), num(c.hits as f64));
-            m.insert("cache_evictions".to_string(), num(c.evictions as f64));
-            Value::Object(m)
-        })
-        .collect();
-
     let mut cfg = BTreeMap::new();
     cfg.insert("workers".to_string(), num(state.cfg.workers as f64));
     cfg.insert("queue_cap".to_string(), num(state.cfg.queue_cap as f64));
     cfg.insert("cache_cap".to_string(), num(state.cfg.cache_cap as f64));
-    cfg.insert("shards".to_string(), num(state.cfg.shards as f64));
     cfg.insert("max_body_bytes".to_string(), num(state.cfg.max_body_bytes as f64));
     cfg.insert("slo_us".to_string(), num(state.cfg.slo_us));
     cfg.insert("recorder_cap".to_string(), num(state.cfg.recorder_cap as f64));
@@ -1502,7 +1395,6 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
     top.insert("uptime_s".to_string(), num(state.telemetry.uptime_s()));
     top.insert("model".to_string(), Value::Object(model));
     top.insert("models".to_string(), Value::Object(models));
-    top.insert("shards".to_string(), Value::Array(shards));
     top.insert("isa".to_string(), Value::String(occu_tensor::active_isa().name().to_string()));
     top.insert(
         "quant_isa".to_string(),
@@ -1517,6 +1409,7 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
     top.insert("dispatch".to_string(), Value::Object(dispatch));
     top.insert("recorder".to_string(), Value::Object(recorder));
     top.insert("queue_depth".to_string(), num(state.telemetry.queue_depth() as f64));
+    top.insert("miss_queue_depth".to_string(), num(state.queue.len() as f64));
     top.insert("inflight".to_string(), num(state.telemetry.inflight() as f64));
     json_body(&Value::Object(top))
 }

@@ -40,13 +40,14 @@ pub enum Stage {
     /// Accept-queue wait: socket accepted → worker pickup. Zero for
     /// follow-up requests on a kept-alive connection.
     QueueWait = 0,
-    /// Request-body JSON parsing and spec validation.
+    /// Request-body JSON parsing and spec validation; for `/reload`,
+    /// also decoding the weights file.
     Parse = 1,
     /// Cache-key construction, probe, and insert-on-miss.
     CacheLookup = 2,
     /// Graph construction + featurization on a cache miss.
     Featurize = 3,
-    /// Job submitted → its execution starts: time queued on the shard,
+    /// Job submitted → its execution starts: time on the miss queue,
     /// or the worker running other requests' jobs first.
     BatchDwell = 4,
     /// The request's own model invocation: plan lookup (and compile

@@ -341,6 +341,49 @@ fn hot_reload_swaps_model_and_invalidates_cache_by_version() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn reload_time_is_charged_to_the_parse_stage() {
+    let dir = std::env::temp_dir().join(format!("occu_serve_reload_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let weights: PathBuf = dir.join("model.json");
+    std::fs::write(&weights, tiny_model(1).to_json()).expect("write weights");
+    let registry = Arc::new(ModelRegistry::load(&weights).expect("load"));
+    let server = Server::start(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        registry,
+    )
+    .expect("start");
+    let addr = server.local_addr();
+
+    let (status, body) = request(addr, "POST", "/reload", "");
+    assert_eq!(status, 200, "body: {body}");
+
+    // Decoding the weights file is the bulk of a reload; its trace must
+    // attribute that time to a stage instead of leaving it unaccounted.
+    let (status, tracez) = request(addr, "GET", "/debug/tracez", "");
+    assert_eq!(status, 200, "body: {tracez}");
+    let parsed: serde_json::Value = serde_json::from_str(&tracez).expect("tracez is JSON");
+    let reload = parsed
+        .get("recent")
+        .and_then(|v| v.as_array())
+        .expect("recent array")
+        .iter()
+        .find(|t| t.get("path").and_then(|p| p.as_str()) == Some("/reload"))
+        .unwrap_or_else(|| panic!("no /reload trace: {tracez}"));
+    let parse_us = reload
+        .get("stages")
+        .and_then(|s| s.get("parse"))
+        .and_then(|v| v.as_f64())
+        .expect("parse stage");
+    assert!(parse_us > 0.0, "reload work not attributed: {reload:?}");
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Extracts the `predicted_occupancy` scalar from a /predict body.
 fn occupancy_of(body: &str) -> f64 {
     let parsed: serde_json::Value = serde_json::from_str(body).expect("predict body is JSON");
@@ -598,8 +641,9 @@ fn fleet_metrics_content_type_and_per_tenant_families() {
     }
     assert!(metrics.contains("serve_tenant_requests{tenant=\"bravo\"} 1"), "dump: {metrics}");
     assert!(metrics.contains("# TYPE serve_tenant_model_version gauge"), "dump: {metrics}");
-    assert!(metrics.contains("serve_shard_queue_depth{shard=\"0\"}"), "dump: {metrics}");
-    assert!(metrics.contains("# TYPE serve_shard_cache_hits counter"), "dump: {metrics}");
+    // One miss queue, one cache: a single depth series, no shard families.
+    assert!(metrics.contains("serve_miss_queue_depth "), "dump: {metrics}");
+    assert!(!metrics.contains("serve_shard_"), "no per-shard series: {metrics}");
     assert!(!metrics.contains("serve_l2_"), "no second cache tier: {metrics}");
 
     server.shutdown();
@@ -747,11 +791,17 @@ fn fleet_statusz_reports_every_resident_model() {
         models["alpha"].get("rate_limit_rps").is_some_and(|v| v.is_null()),
         "unlimited tenants report null: {statusz}"
     );
-    // The shards and their caches are visible too; there is no
+    // The miss queue's depth is visible; there are no shards and no
     // second cache tier.
-    let shards = parsed.get("shards").and_then(|v| v.as_array()).expect("shards array");
-    assert_eq!(shards.len(), 2, "default shard count: {statusz}");
-    assert!(shards.iter().all(|s| s.get("cache_len").is_some()), "shard caches: {statusz}");
+    assert!(
+        parsed.get("miss_queue_depth").and_then(|v| v.as_f64()).is_some(),
+        "statusz: {statusz}"
+    );
+    assert!(parsed.get("shards").is_none(), "no shards array: {statusz}");
+    assert!(
+        parsed.get("config").is_some_and(|c| c.get("shards").is_none()),
+        "no config.shards key: {statusz}"
+    );
     assert!(parsed.get("l2").is_none(), "no l2 object: {statusz}");
 
     server.shutdown();
@@ -767,7 +817,7 @@ fn every_queued_job_is_answered_under_concurrent_cold_load() {
     std::fs::write(&weights, tiny_model(9).to_json()).expect("write weights");
 
     // Two tenants over one weights file, weighted 3:1, so both lanes
-    // of every shard queue fill. cache_cap 0: every item is a queued
+    // of the one miss queue fill. cache_cap 0: every item is a queued
     // job, and each worker must drain until its own replies are in.
     let fleet = FleetRegistry::builder()
         .model("heavy", Arc::new(ModelRegistry::load(&weights).expect("load")), 3, None)
@@ -775,7 +825,7 @@ fn every_queued_job_is_answered_under_concurrent_cold_load() {
         .build()
         .expect("fleet");
     let server = Server::start_fleet(
-        ServeConfig { workers: 4, shards: 2, cache_cap: 0, ..ServeConfig::default() },
+        ServeConfig { workers: 4, cache_cap: 0, ..ServeConfig::default() },
         Arc::clone(&fleet),
     )
     .expect("fleet server start");
