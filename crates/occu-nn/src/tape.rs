@@ -344,24 +344,26 @@ impl Tape {
         self.push(out, Op::Relu(x))
     }
 
-    /// GELU (tanh approximation), used inside transformer FFNs.
+    /// GELU (tanh approximation), used inside transformer FFNs. This
+    /// and the two activations below run `occu-tensor`'s kernels on
+    /// its polynomial exp, the ones compiled plans run too.
     pub fn gelu(&mut self, x: Var) -> Var {
         let mut out = self.take(self.shape(x).0, self.shape(x).1);
-        self.value(x).map_into(&mut out, gelu_fwd);
+        self.value(x).gelu_into(&mut out);
         self.push(out, Op::Gelu(x))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, x: Var) -> Var {
         let mut out = self.take(self.shape(x).0, self.shape(x).1);
-        self.value(x).map_into(&mut out, |e| 1.0 / (1.0 + (-e).exp()));
+        self.value(x).sigmoid_into(&mut out);
         self.push(out, Op::Sigmoid(x))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: Var) -> Var {
         let mut out = self.take(self.shape(x).0, self.shape(x).1);
-        self.value(x).map_into(&mut out, f32::tanh);
+        self.value(x).tanh_into(&mut out);
         self.push(out, Op::Tanh(x))
     }
 
@@ -996,11 +998,9 @@ fn layer_norm_bwd_inplace(x: &Matrix, g: &mut Matrix) {
     }
 }
 
-fn gelu_fwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-}
-
+/// Derivative of the tanh-approximation GELU, with libm `tanh`: it
+/// differs from the slope of the polynomial-tanh forward by about
+/// 1e-7, far below what the optimizer resolves.
 fn gelu_bwd(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let x3 = x * x * x;

@@ -21,9 +21,9 @@
 //! `occu-core`'s `DnnOccu::compile_plan_with` records one. Each
 //! instruction's executor arm calls the same public `occu-tensor`
 //! kernels (`matmul_into`, `softmax_rows_into`, `layernorm_rows_into`,
-//! ...) as the tape's op, with operands in the same order, so a
-//! compiled plan is bitwise-equal to the interpreted forward pass on
-//! every ISA rung, including `OCCU_FORCE_SCALAR=1`. The one deliberate
+//! `gelu_into`, ...) as the tape's op, with operands in the same
+//! order, so a compiled plan is bitwise-equal to the interpreted
+//! forward pass on every ISA rung, including `OCCU_FORCE_SCALAR=1`. The one deliberate
 //! deviation is [`Instr::SpdBias`], the one op the model builds
 //! separately for each recorder: it gathers the shortest-path bias per
 //! element instead of summing per-bucket indicator matrices; the two
@@ -83,15 +83,6 @@ impl Precision {
 /// interpreter's `layer_norm_affine` op.
 const LN_EPS: f32 = 1e-5;
 
-/// Exact tanh-approximation GELU used by the tape interpreter.
-/// Replicated verbatim (same constant, same operation order) so the
-/// plan's `Gelu` unary is bit-identical.
-#[inline]
-fn gelu_fwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2 / pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-}
-
 /// A per-request input matrix, referenced by an instruction operand
 /// instead of being baked into the program. Plans are keyed only on
 /// graph *shape*; the feature values flow in at execution time.
@@ -128,19 +119,20 @@ pub enum Src {
     Weight(u16),
 }
 
-/// Elementwise unary applied by [`Instr::Unary`]. Each closure body
-/// replicates the tape interpreter's exactly.
+/// Elementwise unary applied by [`Instr::Unary`]. The exp-based arms
+/// call the same `occu-tensor` kernels as the tape's activations; the
+/// others repeat the tape's one-line closures.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum UnaryOp {
     /// `e.max(0.0)`.
     Relu,
     /// `if e >= 0.0 { e } else { alpha * e }`.
     LeakyRelu(f32),
-    /// Tanh-approximation GELU (see [`gelu_fwd`]).
+    /// Tanh-approximation GELU ([`Matrix::gelu_into`]).
     Gelu,
-    /// `1.0 / (1.0 + (-e).exp())`.
+    /// Logistic sigmoid ([`Matrix::sigmoid_into`]).
     Sigmoid,
-    /// `e.tanh()`.
+    /// Hyperbolic tangent ([`Matrix::tanh_into`]).
     Tanh,
     /// `e * s` — covers both the tape's `scale` and `scale_by_scalar`
     /// (the scalar is resolved at compile time).
@@ -982,9 +974,9 @@ impl Executor {
                     UnaryOp::LeakyRelu(alpha) => {
                         av.map_into(&mut out, |e| if e >= 0.0 { e } else { alpha * e })
                     }
-                    UnaryOp::Gelu => av.map_into(&mut out, gelu_fwd),
-                    UnaryOp::Sigmoid => av.map_into(&mut out, |e| 1.0 / (1.0 + (-e).exp())),
-                    UnaryOp::Tanh => av.map_into(&mut out, f32::tanh),
+                    UnaryOp::Gelu => av.gelu_into(&mut out),
+                    UnaryOp::Sigmoid => av.sigmoid_into(&mut out),
+                    UnaryOp::Tanh => av.tanh_into(&mut out),
                     UnaryOp::Scale(s) => av.map_into(&mut out, |e| e * s),
                 }
                 out
@@ -1212,7 +1204,8 @@ mod tests {
         let biased_r = scores_r.zip_map(&bias_r, |x, y| x + y);
         let attn_r = biased_r.softmax_rows();
         let mixed_r = attn_r.matmul(&normed_r);
-        let act_r = mixed_r.map(gelu_fwd);
+        let mut act_r = Matrix::zeros(n, 5);
+        mixed_r.gelu_into(&mut act_r);
         let mut pooled_r = Matrix::zeros(1, 5);
         for row in 0..act_r.rows() {
             occu_tensor::add_into(pooled_r.row_mut(0), act_r.row(row));
@@ -1229,6 +1222,79 @@ mod tests {
             assert_eq!(g.to_bits(), w.to_bits(), "structured program diverged from reference");
         }
         assert_eq!(prog.stats().instrs, 13);
+    }
+
+    #[test]
+    fn every_unary_arm_matches_the_tape_activation_bitwise() {
+        // 2 x 67 = 134 elements: sixteen 8-lane chunks and a 6-element
+        // scalar tail, with the exp cutoffs and non-finite values mixed
+        // into the random ones.
+        let (n, width) = (2, 67);
+        let mut rng = SeededRng::new(0xAC7);
+        let specials = [
+            -87.0,
+            88.0,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -90.0,
+        ];
+        let node_feats = Matrix::from_fn(n, width, |r, c| match (r * width + c) % 17 {
+            k if k < specials.len() => specials[k],
+            _ => rng.uniform(-6.0, 6.0),
+        });
+        let (edge_feats, global_feats) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+        let inputs = PlanInputs {
+            node_feats: &node_feats,
+            edge_feats: &edge_feats,
+            global_feats: &global_feats,
+            edge_src: &[0],
+            edge_dst: &[0],
+            degree_bucket: &[0; 2],
+            spd: &[0; 4],
+        };
+        let shapes = InputShapes {
+            n_nodes: n,
+            n_edges: 1,
+            node_feat_dim: width,
+            edge_feat_dim: 1,
+            global_feat_dim: 1,
+        };
+        let ops = [
+            UnaryOp::Relu,
+            UnaryOp::LeakyRelu(0.2),
+            UnaryOp::Gelu,
+            UnaryOp::Sigmoid,
+            UnaryOp::Tanh,
+            UnaryOp::Scale(-1.75),
+        ];
+        for op in ops {
+            let mut b = ProgramBuilder::new(shapes);
+            let out = b.unary(Src::Input(InputRef::NodeFeats), op);
+            let got = Executor::new().run(&b.finish(out), &inputs);
+
+            let mut tape = occu_nn::Tape::new();
+            let x = tape.constant(node_feats.clone());
+            let y = match op {
+                UnaryOp::Relu => tape.relu(x),
+                UnaryOp::LeakyRelu(a) => tape.leaky_relu(x, a),
+                UnaryOp::Gelu => tape.gelu(x),
+                UnaryOp::Sigmoid => tape.sigmoid(x),
+                UnaryOp::Tanh => tape.tanh(x),
+                UnaryOp::Scale(s) => Recorder::scale(&mut tape, x, s),
+            };
+            let want = tape.value(y);
+            assert_eq!(got.shape(), want.shape());
+            for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{op:?}: element {i} is {g}, tape {w}"
+                );
+            }
+        }
     }
 
     #[test]

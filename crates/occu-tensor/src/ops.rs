@@ -22,6 +22,11 @@
 //! The scalar code spells that structure out by hand; the AVX2 code
 //! holds the eight lanes in one register. Elementwise passes map one
 //! scalar op to one SIMD lane, so they are trivially identical.
+//!
+//! Softmax, GELU, sigmoid and tanh share one polynomial exp
+//! ([`exp_scalar`] and its AVX2 lanes): libm's `expf` has no vector
+//! twin, so a transcendental per element would otherwise be a scalar
+//! call on every rung.
 
 use crate::dispatch::{self, Isa};
 use crate::gemm::{self, View};
@@ -78,7 +83,8 @@ fn rowwise_isa() -> Isa {
     match dispatch::active_isa() {
         // AVX-512 hosts also run the row passes on the AVX2 code: the
         // fused row primitives are memory-bound, so wider lanes buy
-        // nothing there (only the GEMM micro-kernel is 512-bit).
+        // little there (only the GEMM micro-kernel is 512-bit); the
+        // exp-based passes keep one 8-lane twin of the scalar code.
         Isa::Avx2 | Isa::Avx512 => Isa::Avx2,
         Isa::Neon | Isa::Scalar => Isa::Scalar,
     }
@@ -571,8 +577,9 @@ impl Matrix {
 
     /// `softmax_rows` writing into a caller-provided output matrix of
     /// the same shape. Previous contents are discarded. The max
-    /// reduction, exp-sum, and divide pass run on the dispatched SIMD
-    /// kernel (the exp itself stays scalar libm).
+    /// reduction, the fused exp-and-sum pass (the shared polynomial
+    /// exp, see [`exp_scalar`]) and the divide run on the dispatched
+    /// SIMD kernel.
     pub fn softmax_rows_into(&self, out: &mut Matrix) {
         assert_eq!(self.shape(), out.shape(), "softmax_rows_into: shape mismatch");
         out.data_mut().copy_from_slice(self.data());
@@ -662,39 +669,202 @@ pub fn softmax_in_place(xs: &mut [f32]) {
 }
 
 /// One softmax row on an already-resolved ISA: shift by the row max,
-/// exponentiate (scalar libm on both paths), lane-structured sum,
-/// divide. The SIMD and scalar paths produce bitwise-identical
-/// output; the only value that may differ is the sign of a zero row
-/// max, which `exp` erases.
+/// exponentiate with [`exp_scalar`] (or its AVX2 lanes) while
+/// accumulating the lane-structured sum, divide. The SIMD and scalar
+/// paths produce bitwise-identical output; the only value that may
+/// differ is the sign of a zero row max, which `exp` erases.
 fn softmax_row(xs: &mut [f32], isa: Isa) {
     if xs.is_empty() {
         return;
     }
-    match isa {
+    let sum = match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 implies runtime detection succeeded.
         Isa::Avx2 => unsafe {
             let max = crate::simd::x86::max_avx2(xs);
-            for x in xs.iter_mut() {
-                *x = (*x - max).exp();
-            }
-            let sum = crate::simd::x86::lane_sum_avx2(xs);
-            if sum > 0.0 {
-                crate::simd::x86::div_scalar_avx2(xs, sum);
-            }
+            crate::simd::x86::exp_shift_sum_avx2(xs, max)
         },
         _ => {
             let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            for x in xs.iter_mut() {
-                *x = (*x - max).exp();
-            }
-            let sum = lane_sum_scalar(xs);
-            if sum > 0.0 {
+            exp_shift_sum_scalar(xs, max)
+        }
+    };
+    if sum > 0.0 {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Avx2 implies runtime detection succeeded.
+            Isa::Avx2 => unsafe { crate::simd::x86::div_scalar_avx2(xs, sum) },
+            _ => {
                 for x in xs.iter_mut() {
                     *x /= sum;
                 }
             }
         }
+    }
+}
+
+// --- exp and the activations built on it ---
+//
+// One polynomial `exp` (Cephes `expf`) serves softmax, GELU, sigmoid
+// and tanh. `exp_scalar` below is the scalar twin of the AVX2 lanes in
+// `simd::x86::exp_ps`: both run the same IEEE operations in the same
+// order (separate mul and add, never FMA), so every ISA rung returns
+// the same bits, and the tape and the plan, which both call these
+// kernels, share each activation by construction.
+
+/// Inputs below this return 0: `exp(-87)` is the smallest result the
+/// kernel forms, and it never produces subnormals.
+pub(crate) const EXP_LO: f32 = -87.0;
+/// Inputs above this return `+inf`.
+pub(crate) const EXP_HI: f32 = 88.0;
+/// `1.5 * 2^23`: `(t + ROUND_MAGIC) - ROUND_MAGIC` rounds `t` to an
+/// integer, ties to even, for `|t| < 2^22` (two IEEE ops on every
+/// rung, where `round_ties_even` would be a libm call on baseline
+/// x86-64).
+pub(crate) const ROUND_MAGIC: f32 = 12_582_912.0;
+/// `ln 2` split for the two-step Cody–Waite reduction: `LN2_HI`
+/// (0.693359375) has 9 significant bits, so `n * LN2_HI` is exact for
+/// every `|n| <= 127`.
+pub(crate) const LN2_HI: f32 = 355.0 / 512.0;
+pub(crate) const LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes `expf` coefficients, highest degree first (1.9875691500e-4,
+/// 1.3981999507e-3, 8.3334519073e-3, 4.1665795894e-2, 1.6666665459e-1,
+/// 5.0000001201e-1, each written as the shortest literal of its f32).
+pub(crate) const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_6e-1,
+    0.5,
+];
+/// `sqrt(2 / pi)` and the cubic coefficient of the tanh-approximation
+/// GELU.
+pub(crate) const GELU_C: f32 = 0.797_884_6;
+pub(crate) const GELU_K: f32 = 0.044715;
+
+/// `e^x` in single precision, scalar twin of `simd::x86::exp_ps`:
+///
+/// 1. `n = round_ties_even(x * log2 e)`, via [`ROUND_MAGIC`];
+/// 2. `r = x - n * LN2_HI`, then `r -= n * LN2_LO`;
+/// 3. `p` = degree-5 Horner over [`EXP_POLY`] in `r`;
+/// 4. `y = p * r^2 + r + 1`;
+/// 5. `y * 2^n`, with `2^n` built from exponent bits.
+///
+/// Worst relative error on `[-87, 88]` is 7.9e-8 (libm `expf`:
+/// 5.9e-8). Outside that range the result is 0 below [`EXP_LO`] (no
+/// subnormals: `exp(-87.5)` is 0, not 1.0e-38) and `+inf` above
+/// [`EXP_HI`]; NaN in gives the same NaN out.
+#[inline]
+pub(crate) fn exp_scalar(x: f32) -> f32 {
+    if x.is_nan() {
+        return x;
+    }
+    if x < EXP_LO {
+        return 0.0;
+    }
+    if x > EXP_HI {
+        return f32::INFINITY;
+    }
+    let n = (x * std::f32::consts::LOG2_E + ROUND_MAGIC) - ROUND_MAGIC;
+    let mut r = x - n * LN2_HI;
+    r -= n * LN2_LO;
+    let mut p = EXP_POLY[0];
+    for &c in &EXP_POLY[1..] {
+        p = p * r + c;
+    }
+    let y = p * (r * r) + r + 1.0;
+    // n is in [-126, 127] here, so the biased exponent is normal.
+    y * f32::from_bits(((n as i32 + 127) as u32) << 23)
+}
+
+/// `sign(u) * (1 - e) / (1 + e)` with `e = exp(-2|u|)`: tanh through
+/// the shared exp. Absolute error about 1e-7; relative accuracy fades
+/// below `|u|` of about 1e-3, where `1 - e` cancels.
+#[inline]
+pub(crate) fn tanh_scalar(u: f32) -> f32 {
+    let e = exp_scalar(-2.0 * u.abs());
+    ((1.0 - e) / (1.0 + e)).copysign(u)
+}
+
+/// Tanh-approximation GELU: `0.5 x (1 + tanh(C (x + K x^3)))`.
+#[inline]
+pub(crate) fn gelu_scalar(x: f32) -> f32 {
+    let u = GELU_C * (x + GELU_K * x * x * x);
+    0.5 * x * (1.0 + tanh_scalar(u))
+}
+
+/// Logistic sigmoid `1 / (1 + exp(-x))`.
+#[inline]
+pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
+    1.0 / (1.0 + exp_scalar(-x))
+}
+
+/// `xs[i] = exp(xs[i] - shift)`, returning the lane-structured sum of
+/// the results (scalar side of `simd::x86::exp_shift_sum_avx2`).
+fn exp_shift_sum_scalar(xs: &mut [f32], shift: f32) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    for c in xs.chunks_mut(8) {
+        for (lane, x) in lanes.iter_mut().zip(c.iter_mut()) {
+            *x = exp_scalar(*x - shift);
+            *lane += *x;
+        }
+    }
+    combine_lanes(&lanes)
+}
+
+/// The elementwise activations built on the shared exp.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ExpAct {
+    Gelu,
+    Sigmoid,
+    Tanh,
+}
+
+/// `out[i] = act(x[i])` on an already-resolved ISA.
+pub(crate) fn exp_act_slice(act: ExpAct, x: &[f32], out: &mut [f32], isa: Isa) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 implies runtime detection succeeded.
+        Isa::Avx2 => unsafe { crate::simd::x86::exp_act_avx2(act, x, out) },
+        _ => {
+            let f = match act {
+                ExpAct::Gelu => gelu_scalar,
+                ExpAct::Sigmoid => sigmoid_scalar,
+                ExpAct::Tanh => tanh_scalar,
+            };
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o = f(v);
+            }
+        }
+    }
+}
+
+impl Matrix {
+    fn exp_act_into(&self, act: ExpAct, out: &mut Matrix) {
+        assert_eq!(self.shape(), out.shape(), "activation: shape mismatch");
+        let isa = rowwise_isa();
+        dispatch::note_dispatch(isa);
+        exp_act_slice(act, self.data(), out.data_mut(), isa);
+    }
+
+    /// Tanh-approximation GELU, `0.5 x (1 + tanh(sqrt(2/pi) (x +
+    /// 0.044715 x^3)))`, written into `out` (same shape), with tanh
+    /// through the shared polynomial exp. Bitwise-equal on every ISA.
+    pub fn gelu_into(&self, out: &mut Matrix) {
+        self.exp_act_into(ExpAct::Gelu, out);
+    }
+
+    /// Logistic sigmoid `1 / (1 + exp(-x))` written into `out` (same
+    /// shape); saturates to exactly 0 below `x = -88`.
+    pub fn sigmoid_into(&self, out: &mut Matrix) {
+        self.exp_act_into(ExpAct::Sigmoid, out);
+    }
+
+    /// Hyperbolic tangent `sign(x) (1 - e) / (1 + e)`, `e = exp(-2|x|)`,
+    /// written into `out` (same shape).
+    pub fn tanh_into(&self, out: &mut Matrix) {
+        self.exp_act_into(ExpAct::Tanh, out);
     }
 }
 
@@ -920,6 +1090,196 @@ mod tests {
     #[should_panic(expected = "clamp: lo > hi")]
     fn clamp_rejects_inverted_bounds() {
         let _ = Matrix::zeros(1, 1).clamp(2.0, 1.0);
+    }
+
+    /// The SIMD rung the row kernels take on this host, if any.
+    fn host_simd() -> Option<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Some(Isa::Avx2);
+        }
+        None
+    }
+
+    /// A ragged row of `len` inputs: the exp cutoffs, signed zeros,
+    /// infinities and NaN mixed with ordinary values, rotated by `len`
+    /// so the specials land in both vector lanes and scalar tails.
+    fn special_row(len: usize) -> Vec<f32> {
+        const SPECIALS: [f32; 9] = [
+            -87.0,
+            88.0,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -87.5,
+            88.5,
+        ];
+        const ORDINARY: [f32; 14] = [
+            -3.25, 0.7, 12.0, -0.001, 1e-6, 43.6, -43.6, 2.5, -9.0, 0.125, 1.5e-8, -60.0, 30.0,
+            87.9,
+        ];
+        let pool: Vec<f32> = SPECIALS.iter().chain(&ORDINARY).copied().collect();
+        (0..len).map(|i| pool[(i * 7 + len) % pool.len()]).collect()
+    }
+
+    /// `special_row` without the non-finite values.
+    fn finite_row(len: usize) -> Vec<f32> {
+        special_row(len)
+            .into_iter()
+            .filter(|x| x.is_finite())
+            .collect()
+    }
+
+    /// The row max first, then NaN one vector chunk later in the same
+    /// lane: a lane max that a NaN resets would lose the true max.
+    fn nan_after_max_row(len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| match i {
+                0 => 50.0,
+                8 => f32::NAN,
+                _ => i as f32 * 0.37 - 3.0,
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: element {i} is {g} vs scalar {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn exp_kernels_are_bitwise_equal_across_isas_on_ragged_lengths() {
+        let Some(simd) = host_simd() else { return };
+        for len in 1..=67 {
+            for row in [special_row(len), finite_row(len), nan_after_max_row(len)] {
+                // exp itself: the softmax pass with a zero shift.
+                let (mut s, mut v) = (row.clone(), row.clone());
+                let sum_s = exp_shift_sum_scalar(&mut s, 0.0);
+                // SAFETY: `host_simd` returned Avx2 only after runtime
+                // feature detection succeeded.
+                let sum_v = unsafe { crate::simd::x86::exp_shift_sum_avx2(&mut v, 0.0) };
+                assert_bits_eq(&v, &s, &format!("exp, len {len}"));
+                assert_eq!(sum_v.to_bits(), sum_s.to_bits(), "exp sum, len {len}");
+
+                let (mut s, mut v) = (row.clone(), row.clone());
+                softmax_row(&mut s, Isa::Scalar);
+                softmax_row(&mut v, simd);
+                assert_bits_eq(&v, &s, &format!("softmax, len {len}"));
+
+                for act in [ExpAct::Gelu, ExpAct::Sigmoid, ExpAct::Tanh] {
+                    let (mut s, mut v) = (vec![0.0; row.len()], vec![0.0; row.len()]);
+                    exp_act_slice(act, &row, &mut s, Isa::Scalar);
+                    exp_act_slice(act, &row, &mut v, simd);
+                    assert_bits_eq(&v, &s, &format!("{act:?}, len {len}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exp_relative_error_is_within_1e_7_of_f64() {
+        let mut worst = 0.0f64;
+        let mut x = EXP_LO;
+        while x <= EXP_HI {
+            let want = (x as f64).exp();
+            let got = exp_scalar(x) as f64;
+            worst = worst.max((got - want).abs() / want);
+            x += 1.0 / 1024.0;
+        }
+        for x in [EXP_LO, EXP_HI, -1e-7, 1e-7, 0.346, -0.346] {
+            let want = (x as f64).exp();
+            worst = worst.max((exp_scalar(x) as f64 - want).abs() / want);
+        }
+        assert!(worst <= 1e-7, "worst relative error {worst:e}");
+        assert_eq!(exp_scalar(0.0), 1.0);
+        assert_eq!(exp_scalar(-0.0), 1.0);
+    }
+
+    #[test]
+    fn gelu_absolute_error_is_within_1e_6_of_f64() {
+        let gelu64 = |x: f64| {
+            let c = (2.0 / std::f64::consts::PI).sqrt();
+            0.5 * x * (1.0 + (c * (x + 0.044715 * x * x * x)).tanh())
+        };
+        let mut worst = 0.0f64;
+        let mut x = -12.0f32;
+        while x <= 12.0 {
+            worst = worst.max((gelu_scalar(x) as f64 - gelu64(x as f64)).abs());
+            x += 1.0 / 512.0;
+        }
+        for x in [-87.0f32, -40.0, 40.0, 88.0, 1e-6, -1e-6] {
+            worst = worst.max((gelu_scalar(x) as f64 - gelu64(x as f64)).abs());
+        }
+        assert!(worst <= 1e-6, "worst absolute error {worst:e}");
+    }
+
+    #[test]
+    fn nan_gives_nan_and_the_cutoffs_saturate_on_every_isa() {
+        let isas = std::iter::once(Isa::Scalar).chain(host_simd());
+        for isa in isas {
+            // 11 elements: a full vector chunk plus a scalar tail, with
+            // NaN in both.
+            let mut row = vec![1.0f32; 11];
+            row[2] = f32::NAN;
+            row[9] = f32::NAN;
+            for act in [ExpAct::Gelu, ExpAct::Sigmoid, ExpAct::Tanh] {
+                let mut out = vec![0.0; row.len()];
+                exp_act_slice(act, &row, &mut out, isa);
+                assert!(
+                    out[2].is_nan() && out[9].is_nan(),
+                    "{act:?} on {}",
+                    isa.name()
+                );
+                assert!(out[0].is_finite(), "{act:?} on {}", isa.name());
+            }
+            let mut xs = row.clone();
+            // NaN must not be clamped into exp(-87).
+            assert!(exp_shift_sum_scalar(&mut xs, 0.0).is_nan());
+            assert!(xs[2].is_nan() && xs[9].is_nan());
+            let mut sm = row.clone();
+            softmax_row(&mut sm, isa);
+            assert!(
+                sm[2].is_nan() && sm[9].is_nan(),
+                "softmax on {}",
+                isa.name()
+            );
+
+            // Below the cutoff the result is exactly 0 (no subnormals),
+            // above it +inf; the cutoffs themselves stay normal/finite.
+            let mut xs = vec![
+                EXP_LO,
+                -87.01,
+                f32::NEG_INFINITY,
+                EXP_HI,
+                88.01,
+                f32::INFINITY,
+            ];
+            xs.resize(9, -87.5);
+            let mut v = xs.clone();
+            match isa {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: only reached when `host_simd` saw AVX2.
+                Isa::Avx2 => unsafe {
+                    crate::simd::x86::exp_shift_sum_avx2(&mut v, 0.0);
+                },
+                _ => {
+                    exp_shift_sum_scalar(&mut v, 0.0);
+                }
+            }
+            assert!(v[0].is_normal() && v[0] < 1.7e-38, "exp(-87) = {:e}", v[0]);
+            assert_eq!(&v[1..3], &[0.0, 0.0]);
+            assert!(v[3].is_finite() && v[3] > 1.6e38, "exp(88) = {:e}", v[3]);
+            assert_eq!(&v[4..6], &[f32::INFINITY, f32::INFINITY]);
+            assert!(v[6..].iter().all(|&e| e == 0.0));
+        }
     }
 
     #[test]

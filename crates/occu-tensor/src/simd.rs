@@ -23,6 +23,15 @@
 //!   coincide.
 //! * Elementwise passes (bias add, axpy, the softmax divide, the
 //!   layernorm normalize) map one scalar op to one lane.
+//! * The exp behind softmax, GELU, sigmoid and tanh (`exp_ps`) runs
+//!   `ops::exp_scalar`'s sequence per lane: clamp to `[-87, 88]`;
+//!   `n = (x * log2 e + 1.5 * 2^23) - 1.5 * 2^23` (round ties to even);
+//!   `r = x - n * 0.693359375`, then `r -= n * -2.12194440e-4`; a
+//!   degree-5 Horner polynomial `p` in `r`; `y = p * r^2 + r + 1`;
+//!   `y * 2^n` from exponent bits; then 0 below -87, `+inf` above 88,
+//!   NaN passed through. Every step is a separate mul or add (no FMA),
+//!   so each lane equals the scalar twin bit for bit, and the tails of
+//!   a slice simply run the twin.
 //!
 //! # Safety
 //!
@@ -38,6 +47,10 @@ use crate::ops::combine_lanes;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use super::*;
+    use crate::ops::{
+        exp_scalar, gelu_scalar, sigmoid_scalar, tanh_scalar, ExpAct, EXP_HI, EXP_LO, EXP_POLY,
+        GELU_C, GELU_K, LN2_HI, LN2_LO, ROUND_MAGIC,
+    };
     use core::arch::x86_64::*;
 
     // The AVX2 kernels hardcode one 8-lane register per accumulator
@@ -196,7 +209,9 @@ pub(crate) mod x86 {
 
     /// Maximum element of `xs` (`-inf` for empty). Lane-wise max then
     /// a horizontal fold; max is order-insensitive for non-NaN input,
-    /// so this matches the scalar left fold.
+    /// so this matches the scalar left fold. NaN elements are skipped
+    /// like `f32::max` skips them: `maxps` returns its second operand
+    /// when either is NaN, and the running max (never NaN) goes second.
     ///
     /// # Safety
     /// The host CPU must support AVX2.
@@ -205,7 +220,7 @@ pub(crate) mod x86 {
         let mut vmax = _mm256_set1_ps(f32::NEG_INFINITY);
         let mut it = xs.chunks_exact(8);
         for c in &mut it {
-            vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(c.as_ptr()));
+            vmax = _mm256_max_ps(_mm256_loadu_ps(c.as_ptr()), vmax);
         }
         let mut lanes = [0.0f32; 8];
         _mm256_storeu_ps(lanes.as_mut_ptr(), vmax);
@@ -275,6 +290,154 @@ pub(crate) mod x86 {
         }
         for x in it.into_remainder() {
             *x /= denom;
+        }
+    }
+
+    /// Eight lanes of `ops::exp_scalar`: clamp into
+    /// `[EXP_LO, EXP_HI]`, run the scalar twin's operations in its
+    /// order, then patch the out-of-range lanes (0 below, `+inf`
+    /// above, the input itself for NaN).
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exp_ps(x: __m256) -> __m256 {
+        let lo = _mm256_set1_ps(EXP_LO);
+        let hi = _mm256_set1_ps(EXP_HI);
+        let one = _mm256_set1_ps(1.0);
+        let xc = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
+        let magic = _mm256_set1_ps(ROUND_MAGIC);
+        let t = _mm256_mul_ps(xc, _mm256_set1_ps(std::f32::consts::LOG2_E));
+        let n = _mm256_sub_ps(_mm256_add_ps(t, magic), magic);
+        let mut r = _mm256_sub_ps(xc, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI)));
+        r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)));
+        let mut p = _mm256_set1_ps(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+        }
+        let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r), one);
+        let bits = _mm256_slli_epi32::<23>(_mm256_add_epi32(
+            _mm256_cvtps_epi32(n),
+            _mm256_set1_epi32(127),
+        ));
+        let mut out = _mm256_mul_ps(y, _mm256_castsi256_ps(bits));
+        out = _mm256_blendv_ps(out, _mm256_setzero_ps(), _mm256_cmp_ps::<_CMP_LT_OQ>(x, lo));
+        out = _mm256_blendv_ps(
+            out,
+            _mm256_set1_ps(f32::INFINITY),
+            _mm256_cmp_ps::<_CMP_GT_OQ>(x, hi),
+        );
+        _mm256_blendv_ps(out, x, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
+    }
+
+    /// Eight lanes of `ops::tanh_scalar`.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tanh_ps(u: __m256) -> __m256 {
+        let sign = _mm256_set1_ps(-0.0);
+        let one = _mm256_set1_ps(1.0);
+        let e = exp_ps(_mm256_mul_ps(
+            _mm256_set1_ps(-2.0),
+            _mm256_andnot_ps(sign, u),
+        ));
+        let t = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
+        // copysign(t, u)
+        _mm256_or_ps(_mm256_andnot_ps(sign, t), _mm256_and_ps(sign, u))
+    }
+
+    /// Eight lanes of `ops::gelu_scalar`.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gelu_ps(x: __m256) -> __m256 {
+        let k = _mm256_mul_ps(
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(GELU_K), x), x),
+            x,
+        );
+        let u = _mm256_mul_ps(_mm256_set1_ps(GELU_C), _mm256_add_ps(x, k));
+        let half_x = _mm256_mul_ps(_mm256_set1_ps(0.5), x);
+        _mm256_mul_ps(half_x, _mm256_add_ps(_mm256_set1_ps(1.0), tanh_ps(u)))
+    }
+
+    /// Eight lanes of `ops::sigmoid_scalar`.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sigmoid_ps(x: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        // -x flips the sign bit (as scalar negation does, NaN included).
+        let e = exp_ps(_mm256_xor_ps(x, _mm256_set1_ps(-0.0)));
+        _mm256_div_ps(one, _mm256_add_ps(one, e))
+    }
+
+    /// `xs[i] = exp(xs[i] - shift)` and the lane-structured sum of the
+    /// results, bitwise `ops::exp_shift_sum_scalar`: vector lanes over
+    /// full chunks, the scalar twin on the tail, [`combine_lanes`].
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn exp_shift_sum_avx2(xs: &mut [f32], shift: f32) -> f32 {
+        let vs = _mm256_set1_ps(shift);
+        let mut acc = _mm256_setzero_ps();
+        let mut it = xs.chunks_exact_mut(8);
+        for c in &mut it {
+            let e = exp_ps(_mm256_sub_ps(_mm256_loadu_ps(c.as_ptr()), vs));
+            _mm256_storeu_ps(c.as_mut_ptr(), e);
+            acc = _mm256_add_ps(acc, e);
+        }
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        for (lane, x) in lanes.iter_mut().zip(it.into_remainder()) {
+            *x = exp_scalar(*x - shift);
+            *lane += *x;
+        }
+        combine_lanes(&lanes)
+    }
+
+    /// `out[i] = act(x[i])` for the exp-based activations: the lane
+    /// version over full chunks, the scalar twin on the tail.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn exp_act_avx2(act: ExpAct, x: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(x.len(), out.len());
+        match act {
+            ExpAct::Gelu => map_lanes(x, out, |v| gelu_ps(v), gelu_scalar),
+            ExpAct::Sigmoid => map_lanes(x, out, |v| sigmoid_ps(v), sigmoid_scalar),
+            ExpAct::Tanh => map_lanes(x, out, |v| tanh_ps(v), tanh_scalar),
+        }
+    }
+
+    /// One elementwise pass: `lanes` over full 8-chunks, `scalar` (its
+    /// twin) on the tail.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn map_lanes(
+        x: &[f32],
+        out: &mut [f32],
+        lanes: impl Fn(__m256) -> __m256,
+        scalar: fn(f32) -> f32,
+    ) {
+        let mut oc = out.chunks_exact_mut(8);
+        let mut xc = x.chunks_exact(8);
+        for (o, c) in (&mut oc).zip(&mut xc) {
+            _mm256_storeu_ps(o.as_mut_ptr(), lanes(_mm256_loadu_ps(c.as_ptr())));
+        }
+        for (o, &v) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
+            *o = scalar(v);
         }
     }
 
