@@ -74,7 +74,7 @@ impl OccuPredictor for MlpBaseline {
         &mut self.store
     }
     fn forward(&self, tape: &mut Tape, fg: &FeaturizedGraph) -> Var {
-        let nodes = tape.constant(fg.node_feats.clone());
+        let nodes = tape.constant_ref(&fg.node_feats);
         let pooled = tape.mean_rows(nodes);
         self.mlp.forward(tape, &self.store, pooled)
     }
@@ -259,8 +259,8 @@ impl OccuPredictor for DnnPerfBaseline {
         &mut self.store
     }
     fn forward(&self, tape: &mut Tape, fg: &FeaturizedGraph) -> Var {
-        let nodes = tape.constant(fg.node_feats.clone());
-        let edges = tape.constant(fg.edge_feats.clone());
+        let nodes = tape.constant_ref(&fg.node_feats);
+        let edges = tape.constant_ref(&fg.edge_feats);
         let (h1, e1) = self.round1.forward(tape, &self.store, nodes, edges, &fg.edge_src, &fg.edge_dst);
         let (h2, _e2) = self.round2.forward(tape, &self.store, h1, e1, &fg.edge_src, &fg.edge_dst);
         let pooled = tape.mean_rows(h2);
@@ -327,7 +327,7 @@ impl OccuPredictor for BrpNasBaseline {
         &mut self.store
     }
     fn forward(&self, tape: &mut Tape, fg: &FeaturizedGraph) -> Var {
-        let nodes = tape.constant(fg.node_feats.clone());
+        let nodes = tape.constant_ref(&fg.node_feats);
         // Structure focus: only the operator-type one-hot block.
         let mut h = tape.slice_cols(nodes, 0, OpKind::COUNT);
         let a_hat = tape.constant(Self::normalized_adjacency(fg));

@@ -491,7 +491,7 @@ mod tests {
     use crate::dataset::make_sample;
     use occu_gpusim::DeviceSpec;
     use occu_models::{ModelConfig, ModelId};
-    use occu_nn::Optimizer;
+    use occu_nn::{GradBuffer, Optimizer};
 
     fn tiny_sample() -> crate::dataset::Sample {
         make_sample(
@@ -514,17 +514,18 @@ mod tests {
 
     #[test]
     fn backward_populates_all_parameter_grads() {
-        let mut model = DnnOccu::new(DnnOccuConfig { hidden: 16, ..DnnOccuConfig::fast() }, 2);
+        let model = DnnOccu::new(DnnOccuConfig { hidden: 16, ..DnnOccuConfig::fast() }, 2);
         let s = tiny_sample();
         let mut tape = Tape::new();
         let y = model.forward(&mut tape, &s.features);
         let t = tape.constant(Matrix::from_vec(1, 1, vec![s.occupancy]));
         let loss = tape.mse_loss(y, t);
-        tape.backward(loss, model.store_mut());
+        let mut grads = GradBuffer::for_store(model.store());
+        tape.backward_into(loss, model.store(), &mut grads);
         // Most parameters should receive gradient signal (spatial
         // thetas for unused distance buckets may stay zero).
         let ids: Vec<_> = model.store().ids().collect();
-        let with_grad = ids.iter().filter(|&&id| model.store().grad(id).norm() > 0.0).count();
+        let with_grad = ids.iter().filter(|&&id| grads.grad(id).norm() > 0.0).count();
         assert!(
             with_grad * 10 >= ids.len() * 8,
             "only {with_grad}/{} params got gradients",
@@ -544,13 +545,14 @@ mod tests {
             (tape.value(l).get(0, 0), tape, l)
         };
         let (before, tape, l) = loss_val(&model);
-        tape.backward(l, model.store_mut());
+        let mut grads = GradBuffer::for_store(model.store());
+        tape.backward_into(l, model.store(), &mut grads);
         // SGD's step is proportional to the gradient, so a small step
         // is guaranteed to descend; Adam's first step moves every
         // element by ~lr regardless of gradient scale and can climb
         // from some init basins.
         let mut opt = occu_nn::Sgd { lr: 0.01 };
-        opt.step(model.store_mut());
+        opt.step(model.store_mut(), &mut grads);
         let (after, _, _) = loss_val(&model);
         assert!(after < before, "loss {before} -> {after}");
     }
@@ -588,6 +590,31 @@ mod tests {
         let restored = DnnOccu::from_json(&model.to_json()).expect("valid doc");
         assert_eq!(restored.predict(&s.features), expected);
         assert_eq!(restored.config(), model.config());
+    }
+
+    #[test]
+    fn weights_saved_with_a_grads_field_still_load() {
+        // Written by an earlier `occu train --hidden 4`, whose parameter
+        // store also serialized a zero gradient per parameter.
+        let old = include_str!("../tests/data/weights_with_grads.json");
+        let doc: serde_json::Value = serde_json::from_str(old).unwrap();
+        let params = doc.get("params").unwrap();
+        assert!(params.get("grads").is_some(), "fixture carries the old field");
+        let model = DnnOccu::from_json(old).expect("old weights load");
+        assert_eq!(model.config().hidden, 4);
+        let want: ParamStore = serde_json::from_value(params.clone()).unwrap();
+        for id in model.store().ids() {
+            assert_eq!(model.store().value(id).data(), want.value(id).data());
+        }
+        let s = tiny_sample();
+        // The answer the writing version's `occu predict --model LeNet
+        // --batch 8` printed for this file.
+        let served = model.compile_plan_for(&s.features).predict(&s.features);
+        assert!((served - 0.026_939_858).abs() < 1e-8, "{served}");
+        let resaved = model.to_json();
+        assert!(!resaved.contains("grads"), "weights are saved without gradients");
+        let again = DnnOccu::from_json(&resaved).unwrap();
+        assert_eq!(again.predict(&s.features).to_bits(), model.predict(&s.features).to_bits());
     }
 
     #[test]

@@ -5,8 +5,10 @@ use crate::features::FeaturizedGraph;
 use crate::metrics::EvalResult;
 use occu_error::OccuError;
 use occu_nn::{Adam, AdamConfig, GradBuffer, Optimizer, ParamStore, Tape, Var};
-use occu_tensor::{Matrix, SeededRng};
+use occu_tensor::SeededRng;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Occupancy spans more than two orders of magnitude across the
 /// dataset (tiny RNN kernels at <1% up to dense CNNs near 70%), and
@@ -232,18 +234,37 @@ pub struct EpochStats {
 ///
 /// # Parallel gradient computation
 ///
-/// Within a batch, each sample's forward + backward runs on its own
-/// worker against a *read-only* model ([`occu_nn::Tape::backward_into`]
+/// Within a batch, each sample's forward + backward runs on a worker
+/// against a *read-only* model ([`occu_nn::Tape::backward_into`]
 /// collects gradients into a per-sample [`GradBuffer`] instead of
-/// mutating the store). Workers process contiguous slices of the
-/// shuffled batch, each reusing one tape arena via
-/// [`occu_nn::Tape::clear`]. The per-sample buffers are then folded
-/// into the store sequentially, in the batch's (global shuffled)
-/// sample order — the identical left-fold the serial path performs —
-/// so final parameters are bit-identical for every worker count given
-/// the same seed.
+/// mutating the store). Each worker claims the next unclaimed sample
+/// of the batch from a shared counter, so a worker that draws a large
+/// graph does not hold the others to a fixed share. Every sample's
+/// gradients land in the buffer of its batch position, and the buffers
+/// are folded into one accumulator in that (global shuffled) order, so
+/// the summation tree — and therefore every trained parameter bit — is
+/// the same for every worker count given the same seed.
+///
+/// A fit owns its scratch for its whole run: one tape per worker,
+/// cleared but never dropped, so its arena stays warm across batches
+/// and epochs, plus the per-sample buffers and the accumulator, zeroed
+/// and reused. After the first epoch a fit allocates no tensor storage.
 pub struct Trainer {
     cfg: TrainConfig,
+}
+
+/// Scratch one fit reuses for every batch: a tape per worker, a
+/// gradient slot per batch position and the batch accumulator.
+struct FitScratch {
+    tapes: Vec<Tape>,
+    slots: Vec<Mutex<SampleSlot>>,
+    acc: GradBuffer,
+}
+
+/// One batch position's result: its loss and its gradients.
+struct SampleSlot {
+    loss: f32,
+    grads: GradBuffer,
 }
 
 impl Trainer {
@@ -280,6 +301,11 @@ impl Trainer {
             model.store(),
             AdamConfig { lr: self.cfg.lr, weight_decay: self.cfg.weight_decay, ..AdamConfig::default() },
         );
+        let mut scratch = FitScratch {
+            tapes: (0..workers).map(|_| Tape::new()).collect(),
+            slots: Vec::new(),
+            acc: GradBuffer::for_store(model.store()),
+        };
         let mut rng = SeededRng::new(self.cfg.seed);
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut history = Vec::with_capacity(self.cfg.epochs);
@@ -296,7 +322,7 @@ impl Trainer {
             let mut epoch_loss = 0.0f32;
             for (bi, batch) in order.chunks(self.cfg.batch_size.max(1)).enumerate() {
                 let _batch_span = occu_obs::span!("train.batch", batch = bi, size = batch.len());
-                let batch_loss = self.train_batch(model, data, batch, workers, &mut opt);
+                let batch_loss = self.train_batch(model, data, batch, &mut scratch, &mut opt);
                 if occu_obs::enabled() {
                     occu_obs::histogram("train.batch_loss", &BATCH_LOSS_EDGES)
                         .observe(f64::from(batch_loss / batch.len() as f32));
@@ -320,71 +346,51 @@ impl Trainer {
         Ok(history)
     }
 
-    /// Computes per-sample gradients for one batch (parallel across
-    /// `workers`), merges them deterministically, and takes one
-    /// optimizer step. Returns the summed sample losses.
+    /// Computes per-sample gradients for one batch ([`sample_grads`]),
+    /// merges them deterministically, and takes one optimizer step.
+    /// Returns the summed sample losses.
     fn train_batch(
         &self,
         model: &mut dyn OccuPredictor,
         data: &Dataset,
         batch: &[usize],
-        workers: usize,
+        scratch: &mut FitScratch,
         opt: &mut Adam,
     ) -> f32 {
-        let per_sample: Vec<(f32, GradBuffer)> = if workers <= 1 || batch.len() <= 1 {
-            if occu_obs::enabled() {
-                occu_obs::counter("train.samples.worker0").add(batch.len() as u64);
-            }
-            sample_grads(&*model, data, batch)
-        } else {
-            // Contiguous slices keep each worker's tape arena hot and
-            // make the flattened result order independent of timing.
-            let chunk_len = batch.len().div_ceil(workers);
-            let chunks: Vec<(usize, Vec<usize>)> =
-                batch.chunks(chunk_len).map(<[usize]>::to_vec).enumerate().collect();
-            let shared: &dyn OccuPredictor = &*model;
-            chunks
-                .into_par_iter()
-                .map(|(w, ids)| {
-                    let _span = occu_obs::span!("train.grad_worker", worker = w, samples = ids.len());
-                    if occu_obs::enabled() {
-                        occu_obs::counter(&format!("train.samples.worker{w}")).add(ids.len() as u64);
-                    }
-                    sample_grads(shared, data, &ids)
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        // Fixed left-fold in global sample order: identical summation
-        // tree for any worker count, hence bit-identical training.
-        let mut batch_loss = 0.0f32;
-        for (loss, buf) in &per_sample {
-            batch_loss += loss;
-            buf.apply_to(model.store_mut());
+        while scratch.slots.len() < batch.len() {
+            let grads = GradBuffer::for_store(model.store());
+            scratch.slots.push(Mutex::new(SampleSlot { loss: 0.0, grads }));
         }
-        self.step(model, opt, batch.len());
+        let slots = &mut scratch.slots[..batch.len()];
+        sample_grads(&*model, data, batch, &mut scratch.tapes, slots);
+        // The workers have joined; the store is written from here on.
+        let store = model.store_mut();
+        // Fixed left-fold in batch order: identical summation tree for
+        // any worker count, hence bit-identical training.
+        let mut batch_loss = 0.0f32;
+        for slot in slots.iter_mut() {
+            let slot = slot.get_mut().expect("a gradient worker panicked holding its slot");
+            batch_loss += slot.loss;
+            scratch.acc.merge(&slot.grads);
+        }
+        self.step(store, opt, &mut scratch.acc, batch.len());
         batch_loss
     }
 
-    fn step(&self, model: &mut dyn OccuPredictor, opt: &mut Adam, accumulated: usize) {
-        // Average the accumulated gradients.
+    /// Averages, clips and applies the accumulated gradients, leaving
+    /// `acc` zeroed.
+    fn step(&self, store: &mut ParamStore, opt: &mut Adam, acc: &mut GradBuffer, accumulated: usize) {
         if accumulated > 1 {
-            let scale = 1.0 / accumulated as f32;
-            let ids: Vec<_> = model.store().ids().collect();
-            for id in ids {
-                model.store_mut().grad_mut(id).map_inplace(|g| g * scale);
-            }
+            acc.scale(1.0 / accumulated as f32);
         }
         if occu_obs::enabled() {
             // Pre-clip norm: the true gradient magnitude of the step.
-            occu_obs::gauge("train.grad_norm").set(f64::from(model.store().grad_norm()));
+            occu_obs::gauge("train.grad_norm").set(f64::from(acc.norm()));
         }
         if self.cfg.clip_norm > 0.0 {
-            model.store_mut().clip_grad_norm(self.cfg.clip_norm);
+            acc.clip_norm(self.cfg.clip_norm);
         }
-        opt.step(model.store_mut());
+        opt.step(store, acc);
     }
 }
 
@@ -393,34 +399,54 @@ impl Trainer {
 /// ~1e-3, so the edges are log-spaced over that range.
 const BATCH_LOSS_EDGES: [f64; 9] = [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0];
 
-/// Worker body: forward + backward for a contiguous slice of sample
-/// indices, reusing one tape arena across the slice via
-/// [`occu_nn::Tape::clear`]. Returns `(loss, gradients)` per sample in
-/// slice order; the model is only read, so many workers can run this
-/// concurrently against the same predictor.
-fn sample_grads(model: &dyn OccuPredictor, data: &Dataset, ids: &[usize]) -> Vec<(f32, GradBuffer)> {
-    let mut tape = Tape::new();
-    ids.iter()
-        .map(|&idx| {
-            tape.clear();
-            let (loss, buf) = sample_grad(model, &mut tape, &data.samples[idx]);
-            (loss, buf)
-        })
-        .collect()
+/// Forward + backward for every sample of `batch`, on up to one worker
+/// per tape: each worker claims the next unclaimed batch position from
+/// a shared counter and writes that sample's loss and gradients into
+/// `slots[position]`, so the results come out in batch order however
+/// the samples were shared out. The model is only read, so the workers
+/// run concurrently against one predictor; each reuses its own tape
+/// (cleared per sample), so the tapes' arenas stay warm across calls.
+fn sample_grads(
+    model: &dyn OccuPredictor,
+    data: &Dataset,
+    batch: &[usize],
+    tapes: &mut [Tape],
+    slots: &[Mutex<SampleSlot>],
+) {
+    // Relaxed: the counter only hands out positions; a slot's contents
+    // are published by its mutex and by the join.
+    let next = AtomicUsize::new(0);
+    let workers = tapes.len().min(batch.len());
+    tapes[..workers].par_iter_mut().enumerate().for_each(|(w, tape)| {
+        let _span = occu_obs::span!("train.grad_worker", worker = w);
+        let mut claimed = 0u64;
+        loop {
+            let pos = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&idx) = batch.get(pos) else { break };
+            let mut slot = slots[pos].lock().expect("a gradient worker panicked holding its slot");
+            let SampleSlot { loss, grads } = &mut *slot;
+            *loss = sample_grad(model, tape, &data.samples[idx], grads);
+            claimed += 1;
+        }
+        if occu_obs::enabled() {
+            occu_obs::counter(&format!("train.samples.worker{w}")).add(claimed);
+        }
+    });
 }
 
-/// Forward + backward for one sample on the given (cleared) tape;
-/// returns the loss value and the sample's parameter gradients. The
-/// regression target is the log-scale transform of the measured
-/// occupancy (see [`occupancy_to_target`]).
-fn sample_grad(model: &dyn OccuPredictor, tape: &mut Tape, sample: &Sample) -> (f32, GradBuffer) {
+/// Forward + backward for one sample on `tape` (cleared first): zeroes
+/// `grads`, fills it with the sample's parameter gradients and returns
+/// the loss. The regression target is the log-scale transform of the
+/// measured occupancy (see [`occupancy_to_target`]).
+fn sample_grad(model: &dyn OccuPredictor, tape: &mut Tape, sample: &Sample, grads: &mut GradBuffer) -> f32 {
+    tape.clear();
+    grads.zero();
     let y = model.forward(tape, &sample.features);
-    let t = tape.constant(Matrix::from_vec(1, 1, vec![occupancy_to_target(sample.occupancy)]));
+    let target = occupancy_to_target(sample.occupancy);
+    let t = tape.constant_zeroed_with(1, 1, |m| m.set(0, 0, target));
     let loss = tape.mse_loss(y, t);
-    let v = tape.value(loss).get(0, 0);
-    let mut buf = GradBuffer::for_store(model.store());
-    tape.backward_into(loss, model.store(), &mut buf);
-    (v, buf)
+    tape.backward_into(loss, model.store(), grads);
+    tape.value(loss).get(0, 0)
 }
 
 /// Fisher–Yates shuffle driven by the workspace RNG.
@@ -512,31 +538,41 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_trained_parameters() {
-        // The parallel gradient path merges per-sample buffers in a
-        // fixed global order, so any worker count must produce the
-        // exact same bits as serial training with the same seed.
-        let data = tiny_dataset();
-        let fit_with = |workers: usize| {
+        // Workers claim samples dynamically, but every sample's
+        // gradients are merged in batch order, so any worker count must
+        // produce the exact same bits as serial training with the same
+        // seed. Mixed graph sizes (LeNet beside ResNet-50) make the
+        // claim order differ from the batch order; the batch sizes
+        // include ones the worker counts do not divide and ones
+        // smaller than the worker count.
+        let dev = DeviceSpec::a100();
+        let mut data = tiny_dataset();
+        data.samples.insert(1, make_sample(ModelId::ResNet50, ModelConfig { batch_size: 16, ..Default::default() }, &dev));
+        data.samples.push(make_sample(ModelId::ResNet50, ModelConfig { batch_size: 2, ..Default::default() }, &dev));
+        let fit_with = |workers: usize, batch_size: usize| {
             let mut model = DnnOccu::new(DnnOccuConfig { hidden: 16, ..DnnOccuConfig::fast() }, 5);
             let cfg = TrainConfig {
-                epochs: 4,
-                batch_size: 2,
+                epochs: 3,
+                batch_size,
                 parallelism: Parallelism::fixed(workers),
                 ..Default::default()
             };
-            Trainer::new(cfg).fit(&mut model, &data).unwrap();
-            model
+            let history = Trainer::new(cfg).fit(&mut model, &data).unwrap();
+            (model, history.iter().map(|e| e.train_loss.to_bits()).collect::<Vec<_>>())
         };
-        let serial = fit_with(1);
-        for workers in [2, 3, 8] {
-            let parallel = fit_with(workers);
-            for id in serial.store().ids() {
-                assert_eq!(
-                    serial.store().value(id).data(),
-                    parallel.store().value(id).data(),
-                    "param {} differs between 1 and {workers} workers",
-                    serial.store().name(id),
-                );
+        for batch_size in [2, 3, 5] {
+            let (serial, serial_losses) = fit_with(1, batch_size);
+            for workers in [2, 3, 4, 8] {
+                let (parallel, losses) = fit_with(workers, batch_size);
+                assert_eq!(serial_losses, losses, "losses differ between 1 and {workers} workers");
+                for id in serial.store().ids() {
+                    assert_eq!(
+                        serial.store().value(id).data(),
+                        parallel.store().value(id).data(),
+                        "param {} differs between 1 and {workers} workers at batch {batch_size}",
+                        serial.store().name(id),
+                    );
+                }
             }
         }
     }

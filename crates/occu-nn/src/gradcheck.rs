@@ -5,7 +5,7 @@
 //! numerical derivatives.
 
 use crate::params::{ParamId, ParamStore};
-use crate::tape::{Tape, Var};
+use crate::tape::{GradBuffer, Tape, Var};
 use occu_tensor::Matrix;
 
 /// Result of a gradient check for one parameter.
@@ -35,10 +35,10 @@ pub fn check_gradients(
     mut f: impl FnMut(&ParamStore) -> (Tape, Var),
 ) -> Vec<GradCheckReport> {
     // Analytic pass.
-    store.zero_grads();
     let (tape, loss) = f(store);
-    tape.backward(loss, store);
-    let analytic: Vec<Matrix> = params.iter().map(|&p| store.grad(p).clone()).collect();
+    let mut grads = GradBuffer::for_store(store);
+    tape.backward_into(loss, store, &mut grads);
+    let analytic: Vec<&Matrix> = params.iter().map(|&p| grads.grad(p)).collect();
 
     let mut reports = Vec::with_capacity(params.len());
     for (pi, &p) in params.iter().enumerate() {
@@ -65,7 +65,6 @@ pub fn check_gradients(
         }
         reports.push(GradCheckReport { param: p, max_abs_diff: max_abs, max_rel_diff: max_rel });
     }
-    store.zero_grads();
     reports
 }
 

@@ -464,14 +464,13 @@ mod tests {
 
         let (tape, l) = loss_of(&store);
         let before = tape.value(l).get(0, 0);
-        tape.backward(l, &mut store);
+        let mut grads = crate::GradBuffer::for_store(&store);
+        tape.backward_into(l, &store, &mut grads);
         // Manual SGD step.
         let lr = 0.05;
-        for id in store.ids().collect::<Vec<_>>() {
-            let g = store.grad(id).clone();
-            store.value_mut(id).add_scaled_assign(&g, -lr);
+        for id in store.ids() {
+            store.value_mut(id).add_scaled_assign(grads.grad(id), -lr);
         }
-        store.zero_grads();
         let (tape2, l2) = loss_of(&store);
         let after = tape2.value(l2).get(0, 0);
         assert!(after < before, "loss should drop: {before} -> {after}");

@@ -8,8 +8,10 @@
 //!
 //! ## Architecture
 //!
-//! * [`ParamStore`] owns every trainable parameter (value, gradient,
-//!   Adam moments). Layers hold [`ParamId`] handles, never matrices.
+//! * [`ParamStore`] owns every trainable parameter's value. Layers
+//!   hold [`ParamId`] handles, never matrices. Gradients live in a
+//!   [`GradBuffer`] shaped like the store, and [`Adam`] keeps its own
+//!   moments; an [`Optimizer`] step applies a buffer and zeroes it.
 //! * [`Recorder`] is the set of operations a model forward pass is
 //!   written in. Layers are generic over it, so one definition of the
 //!   network serves two recorders: [`Tape`] and `occu-plan`'s
@@ -17,8 +19,8 @@
 //!   instruction per call.
 //! * [`Tape`] records a fresh computation graph per forward pass,
 //!   computing every value eagerly and keeping [`Var`] handles;
-//!   [`Tape::backward`] walks the tape in reverse and accumulates
-//!   parameter gradients back into the store. Ops only training or
+//!   [`Tape::backward_into`] walks the tape in reverse and adds the
+//!   parameter gradients into a [`GradBuffer`], reading the store only. Ops only training or
 //!   the baselines need (losses, `sub`, `tanh`, row broadcasts) are
 //!   inherent `Tape` methods.
 //! * [`layers`] builds Linear / LayerNorm / multi-head attention /

@@ -2,13 +2,15 @@
 //! hyperparameters, lr = weight_decay = 1e-4) and plain SGD.
 
 use crate::params::ParamStore;
+use crate::tape::GradBuffer;
 use occu_tensor::Matrix;
 
-/// Common optimizer interface: consume gradients in the store, update
-/// values, and zero the gradients.
+/// Common optimizer interface: apply a gradient buffer to the store's
+/// values, then zero the buffer for the next accumulation.
 pub trait Optimizer {
-    /// Applies one update step from the accumulated gradients.
-    fn step(&mut self, store: &mut ParamStore);
+    /// Applies one update step from the accumulated `grads` (shaped by
+    /// [`GradBuffer::for_store`] for `store`) and zeroes them.
+    fn step(&mut self, store: &mut ParamStore, grads: &mut GradBuffer);
 }
 
 /// Configuration for [`Adam`].
@@ -80,13 +82,13 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+    fn step(&mut self, store: &mut ParamStore, grads: &mut GradBuffer) {
         self.t += 1;
         let AdamConfig { lr, beta1, beta2, eps, weight_decay } = self.cfg;
         let bc1 = 1.0 - beta1.powi(self.t as i32);
         let bc2 = 1.0 - beta2.powi(self.t as i32);
-        for (idx, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
-            let g = store.grad(id).clone();
+        for (idx, id) in store.ids().enumerate() {
+            let g = grads.grad(id);
             let m = &mut self.m[idx];
             let v = &mut self.v[idx];
             for ((mi, vi), &gi) in m
@@ -105,7 +107,7 @@ impl Optimizer for Adam {
                 *p -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * *p);
             }
         }
-        store.zero_grads();
+        grads.zero();
     }
 }
 
@@ -116,12 +118,11 @@ pub struct Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        for id in store.ids().collect::<Vec<_>>() {
-            let g = store.grad(id).clone();
-            store.value_mut(id).add_scaled_assign(&g, -self.lr);
+    fn step(&mut self, store: &mut ParamStore, grads: &mut GradBuffer) {
+        for id in store.ids() {
+            store.value_mut(id).add_scaled_assign(grads.grad(id), -self.lr);
         }
-        store.zero_grads();
+        grads.zero();
     }
 }
 
@@ -138,6 +139,7 @@ mod tests {
         let mut rng = SeededRng::new(0);
         let w = store.register("w", Matrix::randn(2, 2, 1.0, &mut rng));
         let target = Matrix::from_vec(2, 2, vec![1.0, -1.0, 0.5, 2.0]);
+        let mut grads = GradBuffer::for_store(&store);
         let mut last = f32::INFINITY;
         for _ in 0..iters {
             let mut tape = Tape::new();
@@ -145,8 +147,8 @@ mod tests {
             let tv = tape.constant(target.clone());
             let loss = tape.mse_loss(wv, tv);
             last = tape.value(loss).get(0, 0);
-            tape.backward(loss, &mut store);
-            opt.step(&mut store);
+            tape.backward_into(loss, &store, &mut grads);
+            opt.step(&mut store, &mut grads);
         }
         last
     }
@@ -164,6 +166,7 @@ mod tests {
         let w = store.register("w", Matrix::randn(2, 2, 1.0, &mut rng));
         let target = Matrix::from_vec(2, 2, vec![1.0, -1.0, 0.5, 2.0]);
         let mut opt2 = Adam::new(&store, AdamConfig { lr: 0.1, weight_decay: 0.0, ..AdamConfig::default() });
+        let mut grads = GradBuffer::for_store(&store);
         let mut last = f32::INFINITY;
         for _ in 0..300 {
             let mut tape = Tape::new();
@@ -171,8 +174,8 @@ mod tests {
             let tv = tape.constant(target.clone());
             let loss = tape.mse_loss(wv, tv);
             last = tape.value(loss).get(0, 0);
-            tape.backward(loss, &mut store);
-            opt2.step(&mut store);
+            tape.backward_into(loss, &store, &mut grads);
+            opt2.step(&mut store, &mut grads);
         }
         assert!(last < 1e-4, "Adam failed to converge: {last}");
     }
@@ -183,7 +186,8 @@ mod tests {
         let w = store.register("w", Matrix::full(1, 1, 10.0));
         let mut opt = Adam::new(&store, AdamConfig { lr: 0.1, weight_decay: 1.0, ..AdamConfig::default() });
         // Zero gradient: only decay acts.
-        opt.step(&mut store);
+        let mut zero = GradBuffer::for_store(&store);
+        opt.step(&mut store, &mut zero);
         assert!(store.value(w).get(0, 0) < 10.0);
     }
 
@@ -191,9 +195,15 @@ mod tests {
     fn step_zeroes_grads() {
         let mut store = ParamStore::new();
         let w = store.register("w", Matrix::ones(1, 1));
-        store.grad_mut(w).add_assign(&Matrix::ones(1, 1));
+        let mut grads = GradBuffer::for_store(&store);
+        let mut tape = Tape::new();
+        let wv = tape.param(&store, w);
+        let loss = tape.sum_all(wv);
+        tape.backward_into(loss, &store, &mut grads);
+        assert_eq!(grads.grad(w).sum(), 1.0);
         let mut opt = Sgd { lr: 0.1 };
-        opt.step(&mut store);
-        assert_eq!(store.grad(w).sum(), 0.0);
+        opt.step(&mut store, &mut grads);
+        assert!((store.value(w).get(0, 0) - 0.9).abs() < 1e-6);
+        assert_eq!(grads.grad(w).sum(), 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! The parameter store: owns values, gradients, and optimizer state.
+//! The parameter store: owns the values and names of a model's weights.
 
 use occu_tensor::{Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
@@ -7,30 +7,32 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParamId(pub(crate) usize);
 
-/// Owns every trainable matrix of a model plus its gradient buffer.
+/// Owns every trainable matrix of a model, with a debug name each.
 ///
 /// Layers register parameters at construction time and keep only
 /// [`ParamId`] handles; each forward pass copies the current value
-/// onto the [`crate::Tape`], and `Tape::backward` accumulates into
-/// [`ParamStore::grad_mut`]. The optimizer then consumes the gradients
-/// and zeroes them.
+/// onto the [`crate::Tape`]. Gradients never live here: a
+/// [`crate::GradBuffer`] shaped by [`crate::GradBuffer::for_store`]
+/// collects them ([`crate::Tape::backward_into`]), and an
+/// [`crate::Optimizer`] applies the buffer to the store and zeroes it.
+/// A loaded model therefore carries its weights and nothing else, and
+/// its JSON holds `values` and `names` (a `grads` field written by
+/// older versions is ignored on load).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ParamStore {
     values: Vec<Matrix>,
-    grads: Vec<Matrix>,
     names: Vec<String>,
 }
 
 impl ParamStore {
     /// Creates an empty store.
     pub fn new() -> Self {
-        Self { values: Vec::new(), grads: Vec::new(), names: Vec::new() }
+        Self { values: Vec::new(), names: Vec::new() }
     }
 
     /// Registers a parameter with an initial value and a debug name.
     pub fn register(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
         let id = ParamId(self.values.len());
-        self.grads.push(Matrix::zeros(value.rows(), value.cols()));
         self.values.push(value);
         self.names.push(name.into());
         id
@@ -77,16 +79,6 @@ impl ParamStore {
         &mut self.values[id.0]
     }
 
-    /// Accumulated gradient of a parameter.
-    pub fn grad(&self, id: ParamId) -> &Matrix {
-        &self.grads[id.0]
-    }
-
-    /// Mutable gradient buffer.
-    pub fn grad_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.grads[id.0]
-    }
-
     /// Debug name of a parameter.
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]
@@ -97,36 +89,7 @@ impl ParamStore {
         (0..self.values.len()).map(ParamId)
     }
 
-    /// Zeroes every gradient buffer (call after each optimizer step).
-    pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            g.map_inplace(|_| 0.0);
-        }
-    }
-
-    /// Global L2 norm of all gradients — useful for clipping and for
-    /// monitoring training health.
-    pub fn grad_norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .map(|g| g.data().iter().map(|x| x * x).sum::<f32>())
-            .sum::<f32>()
-            .sqrt()
-    }
-
-    /// Clips gradients so their global norm does not exceed `max_norm`.
-    pub fn clip_grad_norm(&mut self, max_norm: f32) {
-        let norm = self.grad_norm();
-        if norm > max_norm && norm > 0.0 {
-            let s = max_norm / norm;
-            for g in &mut self.grads {
-                g.map_inplace(|x| x * s);
-            }
-        }
-    }
-
-    /// Serializes parameter values to JSON (gradients are transient and
-    /// excluded by reconstruction on load).
+    /// Serializes parameter values and names to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("ParamStore serialization cannot fail")
     }
@@ -154,31 +117,7 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.num_scalars(), 6);
         assert_eq!(store.value(id).shape(), (2, 3));
-        assert_eq!(store.grad(id).shape(), (2, 3));
         assert_eq!(store.name(id), "w");
-    }
-
-    #[test]
-    fn zero_grads_resets() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Matrix::ones(2, 2));
-        store.grad_mut(id).add_assign(&Matrix::ones(2, 2));
-        assert_eq!(store.grad(id).sum(), 4.0);
-        store.zero_grads();
-        assert_eq!(store.grad(id).sum(), 0.0);
-    }
-
-    #[test]
-    fn grad_norm_and_clip() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Matrix::zeros(1, 2));
-        *store.grad_mut(id) = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((store.grad_norm() - 5.0).abs() < 1e-6);
-        store.clip_grad_norm(1.0);
-        assert!((store.grad_norm() - 1.0).abs() < 1e-5);
-        // Clipping below the threshold is a no-op.
-        store.clip_grad_norm(10.0);
-        assert!((store.grad_norm() - 1.0).abs() < 1e-5);
     }
 
     #[test]

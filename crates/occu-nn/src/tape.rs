@@ -78,14 +78,17 @@ struct Node {
     op: Op,
 }
 
-/// Per-sample parameter-gradient accumulator, keyed by [`ParamId`].
+/// Parameter-gradient accumulator, keyed by [`ParamId`]: the only
+/// place gradients live.
 ///
 /// Holds one gradient matrix per parameter in a store, letting
 /// [`Tape::backward_into`] run without mutating the shared
-/// [`ParamStore`]. Training workers each own a `GradBuffer`, compute
-/// gradients side-effect-free in parallel, and the trainer merges
-/// buffers into the store afterwards in ascending param-id order so
-/// the result is identical regardless of worker count.
+/// [`ParamStore`]. Training workers fill one buffer per sample,
+/// side-effect-free and in parallel; the trainer merges them into an
+/// accumulator buffer in sample order (each merge in ascending
+/// param-id order), so the sum is identical for every worker count,
+/// and an [`crate::Optimizer`] applies the accumulator and zeroes it.
+/// Buffers are reused: [`GradBuffer::zero`] keeps the allocations.
 pub struct GradBuffer {
     grads: Vec<Matrix>,
 }
@@ -137,14 +140,30 @@ impl GradBuffer {
         }
     }
 
-    /// Adds this buffer's gradients into `store`'s gradient slots, in
-    /// ascending param-id order (the fixed merge order that keeps
-    /// parallel training bit-deterministic).
-    pub fn apply_to(&self, store: &mut ParamStore) {
-        let ids: Vec<ParamId> = store.ids().collect();
-        assert_eq!(ids.len(), self.grads.len(), "apply_to: store size differs");
-        for id in ids {
-            store.grad_mut(id).add_assign(&self.grads[id.0]);
+    /// Multiplies every gradient by `s` (averaging an accumulated
+    /// batch).
+    pub fn scale(&mut self, s: f32) {
+        for g in &mut self.grads {
+            g.map_inplace(|x| x * s);
+        }
+    }
+
+    /// Global L2 norm of all gradients — for clipping and for
+    /// monitoring training health.
+    pub fn norm(&self) -> f32 {
+        self.grads
+            .iter()
+            .map(|g| g.data().iter().map(|x| x * x).sum::<f32>())
+            .sum::<f32>()
+            .sqrt()
+    }
+
+    /// Scales the gradients so their global norm does not exceed
+    /// `max_norm`.
+    pub fn clip_norm(&mut self, max_norm: f32) {
+        let norm = self.norm();
+        if norm > max_norm && norm > 0.0 {
+            self.scale(max_norm / norm);
         }
     }
 }
@@ -156,10 +175,9 @@ impl GradBuffer {
 /// [`Tape::value`]. The ops layers are written in come from its
 /// [`Recorder`] implementation; the inherent methods add what only
 /// training and the baselines use (constants, losses, `sub`, row
-/// broadcasts, named activations). Call [`Tape::backward`] on a scalar (`1x1`) output
-/// to populate parameter gradients in the [`ParamStore`], or
-/// [`Tape::backward_into`] to collect them in a [`GradBuffer`] without
-/// touching the store. Reuse one tape across samples with
+/// broadcasts, named activations). Call [`Tape::backward_into`] on a
+/// scalar (`1x1`) output to collect parameter gradients in a
+/// [`GradBuffer`]; the store is only read. Reuse one tape across samples with
 /// [`Tape::clear`]: node storage returns to the embedded scratch
 /// arena, so steady-state passes allocate nothing.
 pub struct Tape {
@@ -243,9 +261,11 @@ impl Tape {
         v
     }
 
-    /// Records a constant input, taking ownership of the matrix.
+    /// Records a constant input. The value is copied into arena
+    /// storage and `value` is dropped, so a tape reused across samples
+    /// does not collect one foreign buffer per call in its free lists.
     pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf)
+        self.constant_ref(&value)
     }
 
     /// Records a constant input by copying it into arena-managed
@@ -426,27 +446,6 @@ impl Tape {
         self.mean_all(sq)
     }
 
-    /// Runs reverse-mode differentiation from scalar `output`,
-    /// accumulating parameter gradients into `store`.
-    ///
-    /// # Panics
-    /// If `output` is not `1x1`.
-    pub fn backward(&self, output: Var, store: &mut ParamStore) {
-        self.backward_impl(output, |id, g| store.grad_mut(id).add_assign(g));
-    }
-
-    /// Like [`Tape::backward`], but collects parameter gradients into a
-    /// [`GradBuffer`] instead of mutating the shared store. This is the
-    /// side-effect-free path parallel training workers use: each worker
-    /// owns a buffer, and the trainer merges buffers deterministically.
-    ///
-    /// # Panics
-    /// If `output` is not `1x1`, or if `buf` was not sized for `store`.
-    pub fn backward_into(&self, output: Var, store: &ParamStore, buf: &mut GradBuffer) {
-        assert_eq!(buf.len(), store.len(), "backward_into: buffer does not match store");
-        self.backward_impl(output, |id, g| buf.accumulate(id, g));
-    }
-
     /// Accumulates `g` into slot `idx` by reference: copies through the
     /// arena on the first contribution, adds in place afterwards.
     fn acc_ref(&self, grads: &mut [Option<Matrix>], idx: usize, g: &Matrix) {
@@ -473,15 +472,21 @@ impl Tape {
         self.arena.borrow_mut().recycle(g);
     }
 
-    /// Shared reverse sweep; `sink` receives each parameter's gradient
-    /// contribution (a parameter reached twice gets two calls).
+    /// Runs reverse-mode differentiation from scalar `output`, adding
+    /// each parameter's gradient into `buf` (a parameter reached twice
+    /// gets two additions). The store is only read, so parallel
+    /// training workers run this concurrently against one model, each
+    /// into its own buffer, and the trainer merges the buffers
+    /// deterministically.
     ///
     /// Every temporary comes from and returns to the tape arena, and the
     /// per-node gradient slots are a reused buffer, so repeat sweeps
-    /// over same-shaped graphs are allocation-free. Summation orders are
-    /// identical to the naive implementation, keeping gradients
-    /// bit-stable across the refactor.
-    fn backward_impl(&self, output: Var, mut sink: impl FnMut(ParamId, &Matrix)) {
+    /// over same-shaped graphs are allocation-free.
+    ///
+    /// # Panics
+    /// If `output` is not `1x1`, or if `buf` was not sized for `store`.
+    pub fn backward_into(&self, output: Var, store: &ParamStore, buf: &mut GradBuffer) {
+        assert_eq!(buf.len(), store.len(), "backward_into: buffer does not match store");
         assert_eq!(self.shape(output), (1, 1), "backward: output must be a 1x1 scalar");
         let mut slots = self.grad_slots.borrow_mut();
         slots.clear();
@@ -499,7 +504,7 @@ impl Tape {
             match &self.nodes[i].op {
                 Op::Leaf => self.recycle(g),
                 Op::Param(id) => {
-                    sink(*id, &g);
+                    buf.accumulate(*id, &g);
                     self.recycle(g);
                 }
                 Op::Add(a, b) => {
@@ -1015,6 +1020,13 @@ mod tests {
     use super::*;
     use occu_tensor::{assert_close, SeededRng};
 
+    /// Gradients of scalar `loss` for every parameter of `store`.
+    fn grads_of(tape: &Tape, loss: Var, store: &ParamStore) -> GradBuffer {
+        let mut buf = GradBuffer::for_store(store);
+        tape.backward_into(loss, store, &mut buf);
+        buf
+    }
+
     #[test]
     fn forward_values() {
         let mut tape = Tape::new();
@@ -1040,9 +1052,9 @@ mod tests {
         let sq = tape.square(y);
         let loss = tape.mean_all(sq);
         assert_eq!(tape.value(loss).get(0, 0), 36.0);
-        tape.backward(loss, &mut store);
+        let grads = grads_of(&tape, loss, &store);
         // d/dw (w*x)^2 = 2*w*x^2 = 2*3*4 = 24
-        assert!((store.grad(w).get(0, 0) - 24.0).abs() < 1e-5);
+        assert!((grads.grad(w).get(0, 0) - 24.0).abs() < 1e-5);
     }
 
     #[test]
@@ -1061,8 +1073,8 @@ mod tests {
             (tape, loss)
         };
         let (tape, loss) = run(&store);
-        tape.backward(loss, &mut store);
-        let analytic = store.grad(w).clone();
+        let grads = grads_of(&tape, loss, &store);
+        let analytic = grads.grad(w).clone();
 
         // central finite differences
         let h = 1e-2_f32;
@@ -1097,11 +1109,11 @@ mod tests {
         assert_eq!(tape.value(scattered).row(1), &[6.0, 8.0]);
         assert_eq!(tape.value(scattered).row(2), &[0.0, 0.0]);
         let loss = tape.sum_all(scattered);
-        tape.backward(loss, &mut store);
+        let grads = grads_of(&tape, loss, &store);
         // d(loss)/dw: w[2] appears twice, w[0] once, w[1] never.
-        assert_eq!(store.grad(w).row(0), &[1.0, 1.0]);
-        assert_eq!(store.grad(w).row(1), &[0.0, 0.0]);
-        assert_eq!(store.grad(w).row(2), &[2.0, 2.0]);
+        assert_eq!(grads.grad(w).row(0), &[1.0, 1.0]);
+        assert_eq!(grads.grad(w).row(1), &[0.0, 0.0]);
+        assert_eq!(grads.grad(w).row(2), &[2.0, 2.0]);
     }
 
     #[test]
@@ -1127,8 +1139,8 @@ mod tests {
         let wv = tape.param(&store, w);
         let sm = tape.softmax_rows(wv);
         let loss = tape.sum_all(sm); // sum of softmax == 1 always
-        tape.backward(loss, &mut store);
-        for &g in store.grad(w).data() {
+        let grads = grads_of(&tape, loss, &store);
+        for &g in grads.grad(w).data() {
             assert!(g.abs() < 1e-6, "grad {g} should vanish");
         }
     }
@@ -1144,9 +1156,9 @@ mod tests {
         let h = tape.hcat(av, bv); // 2x5
         let sl = tape.slice_cols(h, 1, 4); // touches last col of a, first 2 of b
         let loss = tape.sum_all(sl);
-        tape.backward(loss, &mut store);
-        assert_eq!(store.grad(a).data(), &[0.0, 1.0, 0.0, 1.0]);
-        assert_eq!(store.grad(b).data(), &[1.0, 1.0, 0.0, 1.0, 1.0, 0.0]);
+        let grads = grads_of(&tape, loss, &store);
+        assert_eq!(grads.grad(a).data(), &[0.0, 1.0, 0.0, 1.0]);
+        assert_eq!(grads.grad(b).data(), &[1.0, 1.0, 0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -1159,9 +1171,9 @@ mod tests {
         let loss = tape.mse_loss(pv, t);
         // ((1-0)^2 + (3-1)^2)/2 = 2.5
         assert!((tape.value(loss).get(0, 0) - 2.5).abs() < 1e-6);
-        tape.backward(loss, &mut store);
+        let grads = grads_of(&tape, loss, &store);
         // d/dp mean((p-t)^2) = 2(p-t)/n
-        assert_close(store.grad(p), &Matrix::from_vec(1, 2, vec![1.0, 2.0]), 1e-5);
+        assert_close(grads.grad(p), &Matrix::from_vec(1, 2, vec![1.0, 2.0]), 1e-5);
     }
 
     #[test]
@@ -1174,9 +1186,9 @@ mod tests {
         let y = tape.scale_by_scalar(x, sv);
         assert_eq!(tape.value(y).data(), &[6.0, 8.0]);
         let loss = tape.sum_all(y);
-        tape.backward(loss, &mut store);
+        let grads = grads_of(&tape, loss, &store);
         // d/ds sum(s*x) = sum(x) = 7
-        assert_eq!(store.grad(s).get(0, 0), 7.0);
+        assert_eq!(grads.grad(s).get(0, 0), 7.0);
     }
 
     #[test]
@@ -1203,27 +1215,6 @@ mod tests {
         let h = tape.layer_norm_rows(h);
         let target = tape.constant(Matrix::full(2, 4, 0.5));
         tape.mse_loss(h, target)
-    }
-
-    #[test]
-    fn backward_into_matches_backward() {
-        let mut rng = SeededRng::new(7);
-        let mut store = ParamStore::new();
-        let w = store.register("w", Matrix::randn(3, 4, 0.5, &mut rng));
-        let b = store.register("b", Matrix::randn(1, 4, 0.5, &mut rng));
-        let x = Matrix::randn(2, 3, 0.5, &mut rng);
-
-        let mut tape = Tape::new();
-        let loss = record_mlp_loss(&mut tape, &store, w, b, &x);
-
-        let mut buf = GradBuffer::for_store(&store);
-        tape.backward_into(loss, &store, &mut buf);
-        tape.backward(loss, &mut store);
-
-        // Same sweep, same accumulation order: bit-identical gradients.
-        assert_eq!(store.grad(w).data(), buf.grad(w).data());
-        assert_eq!(store.grad(b).data(), buf.grad(b).data());
-        assert!(store.grad(w).data().iter().any(|&g| g != 0.0));
     }
 
     #[test]
@@ -1403,7 +1394,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_buffer_zero_merge_and_apply() {
+    fn grad_buffer_zero_and_merge() {
         let mut store = ParamStore::new();
         let w = store.register("w", Matrix::ones(2, 2));
         let mut a = GradBuffer::for_store(&store);
@@ -1412,9 +1403,25 @@ mod tests {
         bbuf.accumulate(w, &Matrix::full(2, 2, 0.5));
         a.merge(&bbuf);
         assert_eq!(a.grad(w).data(), &[2.0; 4]);
-        a.apply_to(&mut store);
-        assert_eq!(store.grad(w).data(), &[2.0; 4]);
         a.zero();
         assert_eq!(a.grad(w).data(), &[0.0; 4]);
+        assert_eq!(bbuf.grad(w).data(), &[0.5; 4], "merge leaves its source alone");
+    }
+
+    #[test]
+    fn grad_buffer_norm_and_clip() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Matrix::zeros(1, 2));
+        let mut g = GradBuffer::for_store(&store);
+        g.accumulate(w, &Matrix::from_vec(1, 2, vec![3.0, 4.0]));
+        assert!((g.norm() - 5.0).abs() < 1e-6);
+        g.scale(0.5);
+        assert_eq!(g.grad(w).data(), &[1.5, 2.0]);
+        g.clip_norm(1.0);
+        assert!((g.norm() - 1.0).abs() < 1e-5);
+        // Clipping below the threshold is a no-op.
+        let before = g.grad(w).clone();
+        g.clip_norm(10.0);
+        assert_eq!(g.grad(w), &before);
     }
 }

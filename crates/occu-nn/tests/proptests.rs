@@ -3,7 +3,7 @@
 //! plus algebraic identities of the recorded ops.
 
 use occu_nn::gradcheck::check_gradients;
-use occu_nn::{Activation, Mlp, ParamStore, Recorder, Tape};
+use occu_nn::{Activation, GradBuffer, Mlp, ParamStore, Recorder, Tape};
 use occu_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -130,17 +130,18 @@ proptest! {
     fn grad_accumulates_across_backward_calls(x in small_matrix(2, 2)) {
         let mut store = ParamStore::new();
         let w = store.register("w", x);
-        let run_backward = |store: &mut ParamStore| {
+        let run_backward = |grads: &mut GradBuffer| {
             let mut tape = Tape::new();
-            let wv = tape.param(store, w);
+            let wv = tape.param(&store, w);
             let sq = tape.square(wv);
             let loss = tape.sum_all(sq);
-            tape.backward(loss, store);
+            tape.backward_into(loss, &store, grads);
         };
-        run_backward(&mut store);
-        let once = store.grad(w).clone();
-        run_backward(&mut store);
-        let twice = store.grad(w).clone();
+        let mut grads = GradBuffer::for_store(&store);
+        run_backward(&mut grads);
+        let once = grads.grad(w).clone();
+        run_backward(&mut grads);
+        let twice = grads.grad(w).clone();
         occu_tensor::assert_close(&twice, &once.scale(2.0), 1e-5);
     }
 }
