@@ -109,6 +109,7 @@ impl Default for ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Recorder;
 
     #[test]
     fn register_and_access() {
@@ -118,6 +119,30 @@ mod tests {
         assert_eq!(store.num_scalars(), 6);
         assert_eq!(store.value(id).shape(), (2, 3));
         assert_eq!(store.name(id), "w");
+    }
+
+    #[test]
+    fn zero_grads_resets() {
+        // Gradients for a store live in a GradBuffer shaped by it; zeroing
+        // the buffer resets every parameter's gradient and keeps its shape.
+        let mut store = ParamStore::new();
+        let w = store.register("w", Matrix::ones(2, 2));
+        let b = store.register_zeros("b", 1, 3);
+        let mut grads = crate::GradBuffer::for_store(&store);
+        assert_eq!(grads.grad(w).shape(), store.value(w).shape());
+        assert_eq!(grads.grad(b).shape(), store.value(b).shape());
+        let mut tape = crate::Tape::new();
+        let (wv, bv) = (tape.param(&store, w), tape.param(&store, b));
+        let (sw, sb) = (tape.sum_all(wv), tape.sum_all(bv));
+        let loss = tape.sub(sw, sb);
+        tape.backward_into(loss, &store, &mut grads);
+        assert_eq!(grads.grad(w).sum(), 4.0);
+        assert_eq!(grads.grad(b).sum(), -3.0);
+        grads.zero();
+        assert_eq!(grads.grad(w).sum(), 0.0);
+        assert_eq!(grads.grad(b).sum(), 0.0);
+        assert_eq!(grads.grad(w).shape(), (2, 2));
+        assert_eq!(store.value(w).sum(), 4.0, "zeroing gradients leaves values alone");
     }
 
     #[test]

@@ -1394,7 +1394,8 @@ mod tests {
     }
 
     #[test]
-    fn grad_buffer_zero_and_merge() {
+    fn grad_buffer_zero_merge_and_apply() {
+        use crate::optim::{Optimizer, Sgd};
         let mut store = ParamStore::new();
         let w = store.register("w", Matrix::ones(2, 2));
         let mut a = GradBuffer::for_store(&store);
@@ -1403,9 +1404,14 @@ mod tests {
         bbuf.accumulate(w, &Matrix::full(2, 2, 0.5));
         a.merge(&bbuf);
         assert_eq!(a.grad(w).data(), &[2.0; 4]);
-        a.zero();
-        assert_eq!(a.grad(w).data(), &[0.0; 4]);
         assert_eq!(bbuf.grad(w).data(), &[0.5; 4], "merge leaves its source alone");
+        // Applying the merged buffer is the optimizer's job: the store's
+        // values move by -lr * grad and the buffer comes back zeroed.
+        Sgd { lr: 0.25 }.step(&mut store, &mut a);
+        assert_eq!(store.value(w).data(), &[0.5; 4]);
+        assert_eq!(a.grad(w).data(), &[0.0; 4]);
+        bbuf.zero();
+        assert_eq!(bbuf.grad(w).data(), &[0.0; 4]);
     }
 
     #[test]
