@@ -198,31 +198,9 @@ impl StructuralEncoding {
         Self { spd_theta, degree_embed }
     }
 
-    /// Builds the `n x n` spatial attention bias Σ_b θ_b · 1[spd=b].
-    pub fn spatial_bias(&self, tape: &mut Tape, store: &ParamStore, fg: &FeaturizedGraph) -> Var {
-        let n = fg.num_nodes();
-        let mut total: Option<Var> = None;
-        for (b, &theta) in self.spd_theta.iter().enumerate() {
-            if !fg.spd.iter().any(|&d| d as usize == b) {
-                continue;
-            }
-            let ind_v = tape.constant_zeroed_with(n, n, |ind| {
-                for i in 0..n {
-                    for j in 0..n {
-                        if fg.spd[i * n + j] as usize == b {
-                            ind.set(i, j, 1.0);
-                        }
-                    }
-                }
-            });
-            let theta_v = tape.param(store, theta);
-            let term = tape.scale_by_scalar(ind_v, theta_v);
-            total = Some(match total {
-                Some(acc) => tape.add(acc, term),
-                None => term,
-            });
-        }
-        total.unwrap_or_else(|| tape.constant_zeros(n, n))
+    /// Records the `n x n` spatial attention bias `θ[spd[i][j]]`.
+    pub fn spatial_bias<R: Recorder>(&self, r: &mut R, store: &ParamStore, spd: R::Spd<'_>) -> R::V {
+        r.spd_bias(store, &self.spd_theta, spd)
     }
 
     /// Adds the degree (centrality) embedding to node embeddings.
@@ -318,6 +296,7 @@ pub(crate) struct GraphInputs<'a, R: Recorder> {
     pub(crate) edge_src: R::Idx<'a>,
     pub(crate) edge_dst: R::Idx<'a>,
     pub(crate) degree_bucket: R::Idx<'a>,
+    pub(crate) spd: R::Spd<'a>,
 }
 
 /// The full DNN-occu predictor.
@@ -375,16 +354,8 @@ impl DnnOccu {
     /// The forward pass, written once for every [`Recorder`]: the tape
     /// ([`OccuPredictor::forward`]) and the plan builder
     /// ([`DnnOccu::compile_plan`]) both record exactly this op
-    /// sequence. The SPD attention bias is the one op the two build
-    /// differently (the tape sums per-bucket indicators so thetas get
-    /// gradients, the plan gathers), so the caller supplies it; it is
-    /// only requested when the config uses it.
-    pub(crate) fn record<R: Recorder>(
-        &self,
-        r: &mut R,
-        inputs: GraphInputs<'_, R>,
-        spatial_bias: impl FnOnce(&mut R) -> R::V,
-    ) -> R::V {
+    /// sequence.
+    pub(crate) fn record<R: Recorder>(&self, r: &mut R, inputs: GraphInputs<'_, R>) -> R::V {
         let store = &self.store;
         let (mut h, _e) =
             self.anee.forward(r, store, inputs.nodes, inputs.edges, inputs.edge_src, inputs.edge_dst);
@@ -392,7 +363,7 @@ impl DnnOccu {
             h = self.structural.add_degree(r, store, h, inputs.degree_bucket);
         }
         let bias = if self.cfg.use_spatial_bias && !self.graphormer.is_empty() {
-            Some(spatial_bias(r))
+            Some(self.structural.spatial_bias(r, store, inputs.spd))
         } else {
             None
         };
@@ -407,11 +378,6 @@ impl DnnOccu {
         };
         let head_in = r.hcat(pooled, inputs.global);
         self.head.forward(r, store, head_in)
-    }
-
-    /// Current values of the SPD bias thetas θ_b, by bucket.
-    pub(crate) fn spd_thetas(&self) -> Vec<f32> {
-        self.structural.spd_theta.iter().map(|&id| self.store.value(id).get(0, 0)).collect()
     }
 
     /// Serializes the model (architecture config + trained weights)
@@ -480,8 +446,9 @@ impl OccuPredictor for DnnOccu {
             edge_src: &fg.edge_src,
             edge_dst: &fg.edge_dst,
             degree_bucket: &fg.degree_bucket,
+            spd: &fg.spd,
         };
-        self.record(tape, inputs, |tape| self.structural.spatial_bias(tape, &self.store, fg))
+        self.record(tape, inputs)
     }
 }
 
@@ -646,7 +613,7 @@ mod tests {
         let model = DnnOccu::new(DnnOccuConfig { hidden: 16, ..DnnOccuConfig::fast() }, 6);
         let s = tiny_sample();
         let mut tape = Tape::new();
-        let bias = model.structural.spatial_bias(&mut tape, &model.store, &s.features);
+        let bias = model.structural.spatial_bias(&mut tape, &model.store, &s.features.spd);
         let n = s.features.num_nodes();
         assert_eq!(tape.shape(bias), (n, n));
         // θ initialized to zero -> zero bias at init.

@@ -10,9 +10,7 @@
 //! which emits one instruction per op the tape would record — same
 //! operations, same operand order — so the compiled program is
 //! bitwise-equal to [`crate::OccuPredictor::predict_target`] by
-//! construction (see `occu-plan`'s crate docs for the single
-//! signed-zero caveat in the SPD bias, the one op the two recorders
-//! build differently).
+//! construction.
 //!
 //! Weight *values* are snapshot into the program; a reloaded model
 //! must therefore be given fresh plans. `occu-serve` guarantees this
@@ -22,7 +20,8 @@ use crate::features::{FeaturizedGraph, EDGE_FEAT_DIM, GLOBAL_FEAT_DIM, NODE_FEAT
 use crate::gnn::{DnnOccu, GraphInputs};
 use crate::train::target_to_occupancy;
 use occu_plan::{
-    Executor, IdxRef, InputRef, InputShapes, PlanInputs, Precision, Program, ProgramBuilder, ProgramStats, Src,
+    Executor, IdxRef, InputRef, InputShapes, PlanInputs, Precision, Program, ProgramBuilder, ProgramStats, SpdRef,
+    Src,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -130,8 +129,9 @@ impl DnnOccu {
             edge_src: IdxRef::EdgeSrc,
             edge_dst: IdxRef::EdgeDst,
             degree_bucket: IdxRef::DegreeBucket,
+            spd: SpdRef,
         };
-        let out = self.record(&mut b, inputs, |b| b.spd_bias(self.spd_thetas()));
+        let out = self.record(&mut b, inputs);
         CompiledPlan { program: b.finish(out) }
     }
 

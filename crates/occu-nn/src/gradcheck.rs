@@ -89,7 +89,8 @@ pub fn assert_gradients_ok(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Activation, LayerNorm, LstmCell, Mlp, MultiHeadAttention};
+    use crate::layers::{Activation, FeedForward, LayerNorm, LstmCell, Mlp, MultiHeadAttention};
+    use crate::record::Recorder;
     use occu_tensor::SeededRng;
 
     #[test]
@@ -142,6 +143,61 @@ mod tests {
             let l = tape.mean_all(sq);
             (tape, l)
         });
+    }
+
+    #[test]
+    fn gelu_feed_forward_gradients_pass() {
+        let mut rng = SeededRng::new(15);
+        let mut store = ParamStore::new();
+        let ffn = FeedForward::new(&mut store, "ffn", 4, 6, Activation::Gelu, &mut rng);
+        let x = Matrix::randn(3, 4, 1.5, &mut rng);
+        let params: Vec<ParamId> = store.ids().collect();
+        assert_gradients_ok(&mut store, &params, 0.02, |store| {
+            let mut tape = Tape::new();
+            let xv = tape.constant(x.clone());
+            let y = ffn.forward(&mut tape, store, xv);
+            let sq = tape.square(y);
+            let l = tape.sum_all(sq);
+            (tape, l)
+        });
+    }
+
+    #[test]
+    fn spd_biased_mha_theta_gradients_pass() {
+        let mut rng = SeededRng::new(16);
+        let mut store = ParamStore::new();
+        let mha = MultiHeadAttention::new(&mut store, "mha", 4, 2, &mut rng);
+        let thetas: Vec<ParamId> = [0.5f32, -0.75, 0.25, 1.0]
+            .iter()
+            .enumerate()
+            .map(|(b, &t)| store.register(format!("theta{b}"), Matrix::from_vec(1, 1, vec![t])))
+            .collect();
+        let x = Matrix::randn(3, 4, 1.5, &mut rng);
+        let w = Matrix::randn(3, 4, 3.0, &mut rng);
+        // Bucket 2 never occurs.
+        let spd = [0u8, 1, 3, 1, 0, 1, 3, 1, 0];
+        let loss = |store: &ParamStore| {
+            let mut tape = Tape::new();
+            let xv = tape.constant(x.clone());
+            let bias = tape.spd_bias(store, &thetas, &spd);
+            let y = mha.forward(&mut tape, store, xv, xv, Some(bias));
+            let wv = tape.constant(w.clone());
+            let weighted = tape.mul(y, wv);
+            let l = tape.sum_all(weighted);
+            (tape, l)
+        };
+        let (tape, l) = loss(&store);
+        let mut grads = GradBuffer::for_store(&store);
+        tape.backward_into(l, &store, &mut grads);
+        for (b, &id) in thetas.iter().enumerate() {
+            let g = grads.grad(id).get(0, 0);
+            if b == 2 {
+                assert_eq!(g, 0.0, "an absent bucket gets no gradient");
+            } else {
+                assert!(g.abs() > 0.05, "theta {b} gradient {g} too small to check");
+            }
+        }
+        assert_gradients_ok(&mut store, &thetas, 0.02, loss);
     }
 
     #[test]

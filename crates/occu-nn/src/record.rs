@@ -11,12 +11,15 @@ use crate::layers::Activation;
 use crate::params::{ParamId, ParamStore};
 
 /// A sink for forward-pass operations. `V` is a handle to a recorded
-/// value; `Idx` names a per-graph index array (gather/scatter rows).
+/// value; `Idx` names a per-graph index array (gather/scatter rows);
+/// `Spd` names a graph's shortest-path bucket map.
 pub trait Recorder {
     /// Handle to a recorded value.
     type V: Copy;
     /// Handle to an index array.
     type Idx<'a>: Copy;
+    /// Handle to an `n x n` row-major shortest-path bucket map.
+    type Spd<'a>: Copy;
 
     /// `(rows, cols)` of a recorded value.
     fn shape(&self, x: Self::V) -> (usize, usize);
@@ -54,4 +57,8 @@ pub trait Recorder {
     /// `y[idx[i]] += x[i]` into `out_rows` zeroed rows — the GNN
     /// message-aggregation primitive.
     fn scatter_add_rows(&mut self, x: Self::V, idx: Self::Idx<'_>, out_rows: usize) -> Self::V;
+    /// Shortest-path attention bias `y[i][j] = thetas[spd[i * n + j]]`,
+    /// one learnable `1 x 1` parameter per bucket; each theta's
+    /// gradient is the sum of the incoming gradient over its bucket.
+    fn spd_bias(&mut self, store: &ParamStore, thetas: &[ParamId], spd: Self::Spd<'_>) -> Self::V;
 }

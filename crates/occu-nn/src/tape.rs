@@ -7,7 +7,14 @@
 //! zero heap allocations per forward/backward iteration — the arena's
 //! free lists already hold a buffer of every shape the model produces.
 //! [`Tape::clear`] returns all node storage to the arena between
-//! samples.
+//! samples, and the index and bucket-map copies of gather, scatter and
+//! SPD-bias ops to free lists of their own.
+//!
+//! Both directions run `occu-tensor`'s kernels: the GELU, sigmoid and
+//! tanh forwards and the GELU backward go through its vectorised
+//! polynomial exp, the same kernels compiled plans call. The SPD
+//! attention bias is one gather op whose backward sums the gradient per
+//! bucket, the same gather a plan's `SpdBias` instruction performs.
 
 use crate::layers::Activation;
 use crate::params::{ParamId, ParamStore};
@@ -39,9 +46,6 @@ enum Op {
     /// `a * b^T` without materializing the transpose.
     MatmulTransB(Var, Var),
     Scale(Var, f32),
-    /// `x * s` where `s` is a `1x1` tape value (used for learnable
-    /// scalar gates such as Graphormer spatial-bias coefficients).
-    ScaleByScalar(Var, Var),
     LeakyRelu(Var, f32),
     Relu(Var),
     Gelu(Var),
@@ -71,6 +75,10 @@ enum Op {
     /// count is implied by the output's stored value in backward).
     ScatterAddRows(Var, Vec<usize>, #[allow(dead_code)] usize),
     Square(Var),
+    /// `y[i][j] = theta[spd[i * n + j]]`, the shortest-path attention
+    /// bias. `theta[b]` is the `1x1` parameter node `first_theta + b`,
+    /// recorded just before this op, one per bucket.
+    SpdBias { first_theta: usize, buckets: usize, spd: Vec<u8> },
 }
 
 struct Node {
@@ -191,6 +199,8 @@ pub struct Tape {
     /// repeated op sequence gets back the same-capacity buffer it
     /// recycled last pass.
     free_indices: VecDeque<Vec<usize>>,
+    /// Recycled bucket maps for the SPD-bias op.
+    free_spd: Vec<Vec<u8>>,
 }
 
 impl Tape {
@@ -201,6 +211,7 @@ impl Tape {
             arena: RefCell::new(ScratchArena::new()),
             grad_slots: RefCell::new(Vec::new()),
             free_indices: VecDeque::new(),
+            free_spd: Vec::new(),
         }
     }
 
@@ -233,6 +244,10 @@ impl Tape {
                 Op::GatherRows(_, mut idx) | Op::ScatterAddRows(_, mut idx, _) => {
                     idx.clear();
                     self.free_indices.push_back(idx);
+                }
+                Op::SpdBias { mut spd, .. } => {
+                    spd.clear();
+                    self.free_spd.push(spd);
                 }
                 _ => {}
             }
@@ -339,15 +354,6 @@ impl Tape {
         self.push(out, Op::MatmulBias(a, w, bias))
     }
 
-    /// Multiplies `x` by a learnable `1x1` scalar variable.
-    pub fn scale_by_scalar(&mut self, x: Var, s: Var) -> Var {
-        assert_eq!(self.shape(s), (1, 1), "scale_by_scalar: scalar must be 1x1");
-        let sv = self.value(s).get(0, 0);
-        let mut out = self.take(self.shape(x).0, self.shape(x).1);
-        self.value(x).map_into(&mut out, |e| e * sv);
-        self.push(out, Op::ScaleByScalar(x, s))
-    }
-
     // --- activations ---
 
     /// LeakyReLU with negative slope `alpha` (paper's ANEE uses this).
@@ -366,7 +372,8 @@ impl Tape {
 
     /// GELU (tanh approximation), used inside transformer FFNs. This
     /// and the two activations below run `occu-tensor`'s kernels on
-    /// its polynomial exp, the ones compiled plans run too.
+    /// its polynomial exp, the ones compiled plans run too; the GELU
+    /// backward multiplies by its slope through the same tanh.
     pub fn gelu(&mut self, x: Var) -> Var {
         let mut out = self.take(self.shape(x).0, self.shape(x).1);
         self.value(x).gelu_into(&mut out);
@@ -621,20 +628,6 @@ impl Tape {
                     }
                     self.acc_owned(grads, x.0, g);
                 }
-                Op::ScaleByScalar(x, s) => {
-                    let sv = self.nodes[s.0].value.get(0, 0);
-                    let mut gs_acc = 0.0f32;
-                    for (&gi, &xi) in g.data().iter().zip(self.nodes[x.0].value.data()) {
-                        gs_acc += gi * xi;
-                    }
-                    for v in g.data_mut() {
-                        *v *= sv;
-                    }
-                    self.acc_owned(grads, x.0, g);
-                    let mut gs = self.take(1, 1);
-                    gs.set(0, 0, gs_acc);
-                    self.acc_owned(grads, s.0, gs);
-                }
                 Op::LeakyRelu(x, alpha) => {
                     for (gi, &xi) in g.data_mut().iter_mut().zip(self.nodes[x.0].value.data()) {
                         if xi < 0.0 {
@@ -652,9 +645,7 @@ impl Tape {
                     self.acc_owned(grads, x.0, g);
                 }
                 Op::Gelu(x) => {
-                    for (gi, &xi) in g.data_mut().iter_mut().zip(self.nodes[x.0].value.data()) {
-                        *gi *= gelu_bwd(xi);
-                    }
+                    self.nodes[x.0].value.gelu_grad_mul_into(&mut g);
                     self.acc_owned(grads, x.0, g);
                 }
                 Op::Sigmoid(x) => {
@@ -788,6 +779,22 @@ impl Tape {
                     }
                     self.acc_owned(grads, x.0, g);
                 }
+                Op::SpdBias { first_theta, buckets, spd } => {
+                    // dtheta[b] = sum of g over bucket b, one accumulator
+                    // per theta, in row-major order.
+                    let mut sums = self.take(1, *buckets);
+                    let acc = sums.data_mut();
+                    for (&gi, &b) in g.data().iter().zip(spd) {
+                        acc[b as usize] += gi;
+                    }
+                    for (b, &sum) in sums.data().iter().enumerate() {
+                        let mut gt = self.take(1, 1);
+                        gt.set(0, 0, sum);
+                        self.acc_owned(grads, first_theta + b, gt);
+                    }
+                    self.recycle(sums);
+                    self.recycle(g);
+                }
             }
         }
     }
@@ -804,6 +811,7 @@ impl Default for Tape {
 impl Recorder for Tape {
     type V = Var;
     type Idx<'a> = &'a [usize];
+    type Spd<'a> = &'a [u8];
 
     fn shape(&self, x: Var) -> (usize, usize) {
         self.nodes[x.0].value.shape()
@@ -965,6 +973,26 @@ impl Recorder for Tape {
         let idx = self.take_indices(indices);
         self.push(out, Op::ScatterAddRows(x, idx, out_rows))
     }
+
+    /// Records every theta as a parameter node, then gathers one value
+    /// per element; backward sums the gradient per bucket.
+    fn spd_bias(&mut self, store: &ParamStore, thetas: &[ParamId], spd: &[u8]) -> Var {
+        let n = spd.len().isqrt();
+        assert_eq!(n * n, spd.len(), "spd_bias: bucket map of {} entries is not square", spd.len());
+        let first_theta = self.nodes.len();
+        for &id in thetas {
+            assert_eq!(store.value(id).shape(), (1, 1), "spd_bias: thetas must be 1x1");
+            self.param(store, id);
+        }
+        let mut out = self.take(n, n);
+        let theta = &self.nodes[first_theta..];
+        for (o, &b) in out.data_mut().iter_mut().zip(spd) {
+            *o = theta[b as usize].value.get(0, 0);
+        }
+        let mut buf = self.free_spd.pop().unwrap_or_default();
+        buf.extend_from_slice(spd);
+        self.push(out, Op::SpdBias { first_theta, buckets: thetas.len(), spd: buf })
+    }
 }
 
 /// Column sums of `g` accumulated into a `1 x cols` row, in the same
@@ -1001,18 +1029,6 @@ fn layer_norm_bwd_inplace(x: &Matrix, g: &mut Matrix) {
             *gi = inv * (*gi - g_mean - ((v - mean) * inv) * gx_mean);
         }
     }
-}
-
-/// Derivative of the tanh-approximation GELU, with libm `tanh`: it
-/// differs from the slope of the polynomial-tanh forward by about
-/// 1e-7, far below what the optimizer resolves.
-fn gelu_bwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let x3 = x * x * x;
-    let inner = C * (x + 0.044715 * x3);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
 }
 
 #[cfg(test)]
@@ -1176,19 +1192,78 @@ mod tests {
         assert_close(grads.grad(p), &Matrix::from_vec(1, 2, vec![1.0, 2.0]), 1e-5);
     }
 
+    /// The SPD bias as it was built before the gather op: per bucket
+    /// present, an indicator of its elements scaled by its theta, the
+    /// terms summed with `add`. The indicator is an `n*n x 1` column so
+    /// that `mul_row_broadcast` by the `1x1` theta is a plain scalar
+    /// multiply: `e * theta` forward, and backward the sequential dot
+    /// `acc += g * e` from zero.
+    fn indicator_sum_bias(tape: &mut Tape, store: &ParamStore, thetas: &[ParamId], spd: &[u8]) -> Var {
+        let mut total = None;
+        for (b, &theta) in thetas.iter().enumerate() {
+            if !spd.iter().any(|&d| d as usize == b) {
+                continue;
+            }
+            let ind = tape.constant_zeroed_with(spd.len(), 1, |m| {
+                for (k, &d) in spd.iter().enumerate() {
+                    if d as usize == b {
+                        m.set(k, 0, 1.0);
+                    }
+                }
+            });
+            let tv = tape.param(store, theta);
+            let term = tape.mul_row_broadcast(ind, tv);
+            total = Some(match total {
+                Some(acc) => tape.add(acc, term),
+                None => term,
+            });
+        }
+        total.expect("a non-empty bucket map has a bucket")
+    }
+
     #[test]
-    fn scale_by_scalar_gradients() {
-        let mut store = ParamStore::new();
-        let s = store.register("s", Matrix::from_vec(1, 1, vec![2.0]));
-        let mut tape = Tape::new();
-        let sv = tape.param(&store, s);
-        let x = tape.constant(Matrix::from_vec(1, 2, vec![3.0, 4.0]));
-        let y = tape.scale_by_scalar(x, sv);
-        assert_eq!(tape.value(y).data(), &[6.0, 8.0]);
-        let loss = tape.sum_all(y);
-        let grads = grads_of(&tape, loss, &store);
-        // d/ds sum(s*x) = sum(x) = 7
-        assert_eq!(grads.grad(s).get(0, 0), 7.0);
+    fn spd_bias_matches_the_indicator_sum_bitwise() {
+        let mut rng = SeededRng::new(21);
+        let uniform = |rng: &mut SeededRng, k: usize| (0..k).map(|_| rng.uniform(-2.0, 2.0)).collect::<Vec<_>>();
+        let cases: Vec<(usize, Vec<u8>, Vec<f32>)> = vec![
+            // Buckets 2, 4, 5 and 7 never occur.
+            (7, (0..49).map(|_| [0u8, 1, 3, 6][rng.index(4)]).collect(), uniform(&mut rng, 8)),
+            (1, vec![0], vec![-0.75, 0.5]),
+            (5, (0..25).map(|_| rng.index(8) as u8).collect(), vec![0.0; 8]),
+            (6, (0..36).map(|_| rng.index(8) as u8).collect(), (0..8).map(|b| -0.25 - b as f32).collect()),
+            (9, (0..81).map(|_| rng.index(8) as u8).collect(), vec![0.0, -1.5, 0.0, 2.25, -0.125, 0.0, 3.0, -7.5]),
+            (12, (0..144).map(|_| rng.index(8) as u8).collect(), uniform(&mut rng, 8)),
+        ];
+        for (case, (n, spd, values)) in cases.into_iter().enumerate() {
+            let mut store = ParamStore::new();
+            let thetas: Vec<ParamId> = values
+                .iter()
+                .enumerate()
+                .map(|(b, &t)| store.register(format!("theta{b}"), Matrix::from_vec(1, 1, vec![t])))
+                .collect();
+            let w = Matrix::randn(n, n, 1.0, &mut rng);
+
+            let mut tape = Tape::new();
+            let bias = tape.spd_bias(&store, &thetas, &spd);
+            let wv = tape.constant_ref(&w);
+            let weighted = tape.mul(bias, wv);
+            let loss = tape.sum_all(weighted);
+            let got = grads_of(&tape, loss, &store);
+
+            let mut reference = Tape::new();
+            let want_bias = indicator_sum_bias(&mut reference, &store, &thetas, &spd);
+            let w_col = reference.constant(Matrix::from_vec(n * n, 1, w.data().to_vec()));
+            let weighted = reference.mul(want_bias, w_col);
+            let want_loss = reference.sum_all(weighted);
+            let want = grads_of(&reference, want_loss, &store);
+
+            assert_eq!(tape.shape(bias), (n, n));
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(tape.value(bias)), bits(reference.value(want_bias)), "case {case}: bias");
+            for (b, &id) in thetas.iter().enumerate() {
+                assert_eq!(bits(got.grad(id)), bits(want.grad(id)), "case {case}: theta {b} gradient");
+            }
+        }
     }
 
     #[test]
@@ -1357,8 +1432,11 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.register("w", Matrix::randn(6, 4, 0.5, &mut rng));
         let b = store.register("b", Matrix::randn(1, 4, 0.5, &mut rng));
+        let t0 = store.register("t0", Matrix::from_vec(1, 1, vec![0.5]));
+        let t1 = store.register("t1", Matrix::from_vec(1, 1, vec![-0.25]));
         let x = Matrix::randn(5, 6, 0.5, &mut rng);
         let idx = [0usize, 2, 4, 1];
+        let spd = [0u8, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0];
 
         let mut tape = Tape::new();
         let mut buf = GradBuffer::for_store(&store);
@@ -1371,7 +1449,9 @@ mod tests {
             let act = tape.gelu(h);
             let ln = tape.layer_norm_rows(act);
             let gathered = tape.gather_rows(ln, &idx);
-            let sm = tape.softmax_rows(gathered);
+            let bias = tape.spd_bias(&store, &[t0, t1], &spd);
+            let biased = tape.add(gathered, bias);
+            let sm = tape.softmax_rows(biased);
             let loss = tape.mean_all(sm);
             buf.zero();
             tape.backward_into(loss, &store, buf);

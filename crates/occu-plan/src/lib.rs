@@ -23,13 +23,7 @@
 //! kernels (`matmul_into`, `softmax_rows_into`, `layernorm_rows_into`,
 //! `gelu_into`, ...) as the tape's op, with operands in the same
 //! order, so a compiled plan is bitwise-equal to the interpreted
-//! forward pass on every ISA rung, including `OCCU_FORCE_SCALAR=1`. The one deliberate
-//! deviation is [`Instr::SpdBias`], the one op the model builds
-//! separately for each recorder: it gathers the shortest-path bias per
-//! element instead of summing per-bucket indicator matrices; the two
-//! differ only in the sign of zero when a theta parameter is exactly
-//! `-0.0`, and that sign cannot survive the downstream softmax's `exp`
-//! (see the instruction docs).
+//! forward pass on every ISA rung, including `OCCU_FORCE_SCALAR=1`.
 //!
 //! The crate depends on `occu-tensor` (kernels) and `occu-nn` (the
 //! [`Recorder`] trait, parameter store and [`Activation`] selector).
@@ -107,6 +101,11 @@ pub enum IdxRef {
     DegreeBucket,
 }
 
+/// The per-request shortest-path bucket map ([`PlanInputs::spd`]),
+/// the one operand of [`Instr::SpdBias`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpdRef;
+
 /// A matrix operand: an intermediate register, a per-request input,
 /// or a compile-time weight snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,8 +133,7 @@ pub enum UnaryOp {
     Sigmoid,
     /// Hyperbolic tangent ([`Matrix::tanh_into`]).
     Tanh,
-    /// `e * s` — covers both the tape's `scale` and `scale_by_scalar`
-    /// (the scalar is resolved at compile time).
+    /// `e * s`, the tape's `scale`.
     Scale(f32),
 }
 
@@ -299,11 +297,9 @@ pub enum Instr {
     },
     /// Shortest-path-distance attention bias:
     /// `dst[i][j] = thetas[spd[i * n + j]]` over the flattened
-    /// `n_nodes x n_nodes` SPD bucket map. Theta values are snapshot
-    /// at compile time (plans are invalidated on reload). Deviates
-    /// from the interpreter's indicator-sum only in the sign of zero
-    /// when a theta is exactly `-0.0`; the bias feeds attention
-    /// scores whose softmax `exp` erases that sign.
+    /// `n_nodes x n_nodes` SPD bucket map ([`PlanInputs::spd`]), the
+    /// same gather as the tape's op. Theta values are snapshot at
+    /// compile time (plans are invalidated on reload).
     SpdBias {
         /// Per-bucket bias values, indexed by SPD bucket.
         thetas: Vec<f32>,
@@ -631,13 +627,6 @@ impl ProgramBuilder {
         self.emit(sa, |dst| Instr::LayerNormAffine { a, gamma, beta, dst })
     }
 
-    /// Emits the SPD attention-bias gather (`n_nodes x n_nodes`).
-    pub fn spd_bias(&mut self, thetas: Vec<f32>) -> Src {
-        assert!(!thetas.is_empty(), "plan: spd_bias needs at least one bucket");
-        let n = self.shapes.n_nodes;
-        self.emit((n, n), |dst| Instr::SpdBias { thetas, dst })
-    }
-
     /// Runs the liveness pass and seals the program. `output` must be
     /// a register.
     pub fn finish(self, output: Src) -> Program {
@@ -682,6 +671,7 @@ impl ProgramBuilder {
 impl Recorder for ProgramBuilder {
     type V = Src;
     type Idx<'a> = IdxRef;
+    type Spd<'a> = SpdRef;
 
     /// Shape of any operand (register, input, or plain weight).
     fn shape(&self, s: Src) -> (usize, usize) {
@@ -808,6 +798,14 @@ impl Recorder for ProgramBuilder {
         let (ar, cols) = self.shape(a);
         assert_eq!(ar, self.idx_len(idx), "plan: scatter_add_rows index length mismatch");
         self.emit((out_rows, cols), |dst| Instr::ScatterAddRows { a, idx, out_rows, dst })
+    }
+
+    /// Snapshots the theta values the way [`Recorder::param`] does.
+    fn spd_bias(&mut self, store: &ParamStore, thetas: &[ParamId], _spd: SpdRef) -> Src {
+        assert!(!thetas.is_empty(), "plan: spd_bias needs at least one bucket");
+        let thetas = thetas.iter().map(|&id| store.value(id).get(0, 0)).collect();
+        let n = self.shapes.n_nodes;
+        self.emit((n, n), |dst| Instr::SpdBias { thetas, dst })
     }
 }
 
@@ -1152,7 +1150,13 @@ mod tests {
         let mut rng = SeededRng::new(11);
         let gamma = rand_matrix(&mut rng, 1, 5);
         let beta = rand_matrix(&mut rng, 1, 5);
-        let thetas = vec![0.25_f32, -0.5, 1.5];
+        let thetas = [0.25_f32, -0.5, 1.5];
+        let mut store = ParamStore::new();
+        let theta_ids: Vec<ParamId> = thetas
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| store.register(format!("theta{i}"), Matrix::from_vec(1, 1, vec![t])))
+            .collect();
 
         let mut b = ProgramBuilder::new(fx.shapes);
         let gid = b.plain_weight(gamma.clone());
@@ -1167,7 +1171,7 @@ mod tests {
         let summed = b.add(scattered, nodes);
         let normed = b.layer_norm_affine(summed, gid, bid);
         let scores = b.matmul_transb(normed, normed);
-        let bias = b.spd_bias(thetas.clone());
+        let bias = b.spd_bias(&store, &theta_ids, SpdRef);
         let biased = b.add(scores, bias);
         let attn = b.softmax_rows(biased);
         let mixed = b.matmul(attn, normed);

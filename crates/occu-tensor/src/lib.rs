@@ -10,8 +10,9 @@
 //!   [`Matrix::matmul_transa`]) that runs on the calling thread:
 //!   callers parallelize across requests or training samples, never
 //!   inside one product.
-//! * Elementwise and row-wise primitives (softmax, GELU, sigmoid and
-//!   tanh on one polynomial exp, layer-norm statistics, reductions)
+//! * Elementwise and row-wise primitives (softmax, GELU and its
+//!   gradient, sigmoid and tanh on one polynomial exp, layer-norm
+//!   statistics, reductions)
 //!   needed by the neural-network layers in `occu-nn` and by
 //!   `occu-plan`'s compiled plans.
 //! * Runtime CPU-feature dispatch ([`active_isa`], [`dispatch_counts`])

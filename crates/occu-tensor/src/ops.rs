@@ -23,10 +23,10 @@
 //! holds the eight lanes in one register. Elementwise passes map one
 //! scalar op to one SIMD lane, so they are trivially identical.
 //!
-//! Softmax, GELU, sigmoid and tanh share one polynomial exp
-//! ([`exp_scalar`] and its AVX2 lanes): libm's `expf` has no vector
-//! twin, so a transcendental per element would otherwise be a scalar
-//! call on every rung.
+//! Softmax, GELU and its gradient, sigmoid and tanh share one
+//! polynomial exp ([`exp_scalar`] and its AVX2 lanes): libm's `expf`
+//! has no vector twin, so a transcendental per element would otherwise
+//! be a scalar call on every rung.
 
 use crate::dispatch::{self, Isa};
 use crate::gemm::{self, View};
@@ -742,6 +742,8 @@ pub(crate) const EXP_POLY: [f32; 6] = [
 /// GELU.
 pub(crate) const GELU_C: f32 = 0.797_884_6;
 pub(crate) const GELU_K: f32 = 0.044715;
+/// `3 K`, from the slope of the GELU's inner argument.
+pub(crate) const GELU_3K: f32 = 3.0 * GELU_K;
 
 /// `e^x` in single precision, scalar twin of `simd::x86::exp_ps`:
 ///
@@ -794,6 +796,16 @@ pub(crate) fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + tanh_scalar(u))
 }
 
+/// Slope of the tanh-approximation GELU,
+/// `0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3K x^2)` with
+/// `t = tanh(C (x + K x^3))` from the forward's [`tanh_scalar`].
+#[inline]
+pub(crate) fn gelu_grad_scalar(x: f32) -> f32 {
+    let u = GELU_C * (x + GELU_K * x * x * x);
+    let t = tanh_scalar(u);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + GELU_3K * x * x)
+}
+
 /// Logistic sigmoid `1 / (1 + exp(-x))`.
 #[inline]
 pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
@@ -840,6 +852,20 @@ pub(crate) fn exp_act_slice(act: ExpAct, x: &[f32], out: &mut [f32], isa: Isa) {
     }
 }
 
+/// `g[i] *= gelu'(x[i])` on an already-resolved ISA.
+pub(crate) fn gelu_grad_mul_slice(x: &[f32], g: &mut [f32], isa: Isa) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 implies runtime detection succeeded.
+        Isa::Avx2 => unsafe { crate::simd::x86::gelu_grad_mul_avx2(x, g) },
+        _ => {
+            for (gi, &xi) in g.iter_mut().zip(x) {
+                *gi *= gelu_grad_scalar(xi);
+            }
+        }
+    }
+}
+
 impl Matrix {
     fn exp_act_into(&self, act: ExpAct, out: &mut Matrix) {
         assert_eq!(self.shape(), out.shape(), "activation: shape mismatch");
@@ -853,6 +879,18 @@ impl Matrix {
     /// through the shared polynomial exp. Bitwise-equal on every ISA.
     pub fn gelu_into(&self, out: &mut Matrix) {
         self.exp_act_into(ExpAct::Gelu, out);
+    }
+
+    /// GELU backward: multiplies each element of `g` (same shape) by
+    /// the slope of [`Self::gelu_into`] at the matching element of
+    /// `self`, `0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3 *
+    /// 0.044715 x^2)`, with `t` from the forward's tanh. Absolute
+    /// error about 1e-6; bitwise-equal on every ISA.
+    pub fn gelu_grad_mul_into(&self, g: &mut Matrix) {
+        assert_eq!(self.shape(), g.shape(), "gelu_grad_mul_into: shape mismatch");
+        let isa = rowwise_isa();
+        dispatch::note_dispatch(isa);
+        gelu_grad_mul_slice(self.data(), g.data_mut(), isa);
     }
 
     /// Logistic sigmoid `1 / (1 + exp(-x))` written into `out` (same
@@ -1185,6 +1223,53 @@ mod tests {
     }
 
     #[test]
+    fn gelu_grad_is_bitwise_equal_across_isas_on_ragged_lengths() {
+        let Some(simd) = host_simd() else { return };
+        // Incoming gradients: a ramp, and the specials without NaN. A
+        // NaN gradient meeting the default NaN that `inf * 0` makes at
+        // x = ±inf may come out as either operand, since the compiler
+        // is free to commute a multiply; every other NaN passes
+        // through unchanged.
+        let mut specials: Vec<f32> = special_row(67).into_iter().filter(|v| !v.is_nan()).collect();
+        specials.reverse();
+        for len in 1..=67 {
+            for x in [special_row(len), finite_row(len), nan_after_max_row(len)] {
+                let ramp = (0..x.len()).map(|i| 1.5 - 0.37 * i as f32);
+                let cycled = specials.iter().copied().cycle().skip(len).take(x.len());
+                for g in [ramp.collect::<Vec<f32>>(), cycled.collect()] {
+                    let (mut s, mut v) = (g.clone(), g);
+                    gelu_grad_mul_slice(&x, &mut s, Isa::Scalar);
+                    gelu_grad_mul_slice(&x, &mut v, simd);
+                    assert_bits_eq(&v, &s, &format!("GELU gradient, len {len}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gelu_grad_absolute_error_is_within_2e_6_of_f64() {
+        let slope64 = |x: f64| {
+            let c = (2.0 / std::f64::consts::PI).sqrt();
+            let t = (c * (x + 0.044715 * x * x * x)).tanh();
+            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x)
+        };
+        let mut worst = 0.0f64;
+        let mut x = -12.0f32;
+        while x <= 12.0 {
+            worst = worst.max((gelu_grad_scalar(x) as f64 - slope64(x as f64)).abs());
+            x += 1.0 / 512.0;
+        }
+        assert!(worst <= 2e-6, "worst absolute error {worst:e}");
+        // The matrix entry point multiplies the incoming gradient.
+        let x = Matrix::from_vec(1, 3, vec![0.0, 3.0, -3.0]);
+        let mut g = Matrix::from_vec(1, 3, vec![2.0, 1.0, 1.0]);
+        x.gelu_grad_mul_into(&mut g);
+        assert_eq!(g.get(0, 0), 1.0, "gelu'(0) = 0.5");
+        assert!((g.get(0, 1) as f64 - slope64(3.0)).abs() <= 2e-6);
+        assert!((g.get(0, 2) as f64 - slope64(-3.0)).abs() <= 2e-6);
+    }
+
+    #[test]
     fn exp_relative_error_is_within_1e_7_of_f64() {
         let mut worst = 0.0f64;
         let mut x = EXP_LO;
@@ -1240,6 +1325,10 @@ mod tests {
                 );
                 assert!(out[0].is_finite(), "{act:?} on {}", isa.name());
             }
+            let mut g = vec![1.0f32; row.len()];
+            gelu_grad_mul_slice(&row, &mut g, isa);
+            assert!(g[2].is_nan() && g[9].is_nan(), "GELU gradient on {}", isa.name());
+            assert!(g[0].is_finite(), "GELU gradient on {}", isa.name());
             let mut xs = row.clone();
             // NaN must not be clamped into exp(-87).
             assert!(exp_shift_sum_scalar(&mut xs, 0.0).is_nan());

@@ -23,11 +23,12 @@
 //!   coincide.
 //! * Elementwise passes (bias add, axpy, the softmax divide, the
 //!   layernorm normalize) map one scalar op to one lane.
-//! * The exp behind softmax, GELU, sigmoid and tanh (`exp_ps`) runs
-//!   `ops::exp_scalar`'s sequence per lane: clamp to `[-87, 88]`;
-//!   `n = (x * log2 e + 1.5 * 2^23) - 1.5 * 2^23` (round ties to even);
-//!   `r = x - n * 0.693359375`, then `r -= n * -2.12194440e-4`; a
-//!   degree-5 Horner polynomial `p` in `r`; `y = p * r^2 + r + 1`;
+//! * The exp behind softmax, GELU and its gradient, sigmoid and tanh
+//!   (`exp_ps`) runs `ops::exp_scalar`'s sequence per lane: clamp to
+//!   `[-87, 88]`; `n = (x * log2 e + 1.5 * 2^23) - 1.5 * 2^23` (round
+//!   ties to even); `r = x - n * 0.693359375`, then
+//!   `r -= n * -2.12194440e-4`; a degree-5 Horner polynomial `p` in
+//!   `r`; `y = p * r^2 + r + 1`;
 //!   `y * 2^n` from exponent bits; then 0 below -87, `+inf` above 88,
 //!   NaN passed through. Every step is a separate mul or add (no FMA),
 //!   so each lane equals the scalar twin bit for bit, and the tails of
@@ -48,8 +49,8 @@ use crate::ops::combine_lanes;
 pub(crate) mod x86 {
     use super::*;
     use crate::ops::{
-        exp_scalar, gelu_scalar, sigmoid_scalar, tanh_scalar, ExpAct, EXP_HI, EXP_LO, EXP_POLY,
-        GELU_C, GELU_K, LN2_HI, LN2_LO, ROUND_MAGIC,
+        exp_scalar, gelu_grad_scalar, gelu_scalar, sigmoid_scalar, tanh_scalar, ExpAct, EXP_HI,
+        EXP_LO, EXP_POLY, GELU_3K, GELU_C, GELU_K, LN2_HI, LN2_LO, ROUND_MAGIC,
     };
     use core::arch::x86_64::*;
 
@@ -365,6 +366,34 @@ pub(crate) mod x86 {
         _mm256_mul_ps(half_x, _mm256_add_ps(_mm256_set1_ps(1.0), tanh_ps(u)))
     }
 
+    /// Eight lanes of `ops::gelu_grad_scalar`.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gelu_grad_ps(x: __m256) -> __m256 {
+        let half = _mm256_set1_ps(0.5);
+        let one = _mm256_set1_ps(1.0);
+        let c = _mm256_set1_ps(GELU_C);
+        let k = _mm256_mul_ps(
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(GELU_K), x), x),
+            x,
+        );
+        let t = tanh_ps(_mm256_mul_ps(c, _mm256_add_ps(x, k)));
+        let left = _mm256_mul_ps(half, _mm256_add_ps(one, t));
+        let sech2 = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
+        let slope = _mm256_add_ps(
+            one,
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(GELU_3K), x), x),
+        );
+        let right = _mm256_mul_ps(
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(half, x), sech2), c),
+            slope,
+        );
+        _mm256_add_ps(left, right)
+    }
+
     /// Eight lanes of `ops::sigmoid_scalar`.
     ///
     /// # Safety
@@ -415,6 +444,25 @@ pub(crate) mod x86 {
             ExpAct::Gelu => map_lanes(x, out, |v| gelu_ps(v), gelu_scalar),
             ExpAct::Sigmoid => map_lanes(x, out, |v| sigmoid_ps(v), sigmoid_scalar),
             ExpAct::Tanh => map_lanes(x, out, |v| tanh_ps(v), tanh_scalar),
+        }
+    }
+
+    /// `g[i] *= gelu'(x[i])`: the lane version over full chunks, the
+    /// scalar twin on the tail.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn gelu_grad_mul_avx2(x: &[f32], g: &mut [f32]) {
+        debug_assert_eq!(x.len(), g.len());
+        let mut gc = g.chunks_exact_mut(8);
+        let mut xc = x.chunks_exact(8);
+        for (o, c) in (&mut gc).zip(&mut xc) {
+            let d = gelu_grad_ps(_mm256_loadu_ps(c.as_ptr()));
+            _mm256_storeu_ps(o.as_mut_ptr(), _mm256_mul_ps(_mm256_loadu_ps(o.as_ptr()), d));
+        }
+        for (o, &v) in gc.into_remainder().iter_mut().zip(xc.remainder()) {
+            *o *= gelu_grad_scalar(v);
         }
     }
 
