@@ -69,7 +69,9 @@ pub trait OccuPredictor: Send + Sync {
     /// Inference reuses one tape per thread: [`Tape::clear`] recycles
     /// all node storage into the tape's scratch arena, so after the
     /// first prediction of each shape the forward pass performs no
-    /// heap allocations. This is the hot path under `occu-serve`.
+    /// heap allocations. `occu-serve` does not call it: a served
+    /// prediction runs a compiled plan (`occu-serve`'s `batch::run_job`),
+    /// and this tape forward is the oracle plans are tested against.
     fn predict_target(&self, fg: &FeaturizedGraph) -> f32 {
         PREDICT_TAPE.with(|t| {
             let mut tape = t.borrow_mut();

@@ -48,7 +48,10 @@ fn plan_matches_interpreter_bitwise_on_every_zoo_model() {
 
 /// Ragged hidden widths that do not fill SIMD registers evenly —
 /// odd head dims and widths straddling the 8- and 16-lane boundaries
-/// — exercise the GEMM tail paths in both executors.
+/// — exercise the GEMM and attention tail paths in both executors; the
+/// served width (hidden 32, head_dim 8) and the paper width (hidden
+/// 256, head_dim 64, on the three largest zoo graphs and the probes)
+/// exercise the attention kernel's full lanes.
 #[test]
 fn plan_stays_bitwise_equal_at_ragged_hidden_sizes() {
     let cases = [
@@ -60,16 +63,18 @@ fn plan_stays_bitwise_equal_at_ragged_hidden_sizes() {
         (20, 4),
         (36, 4),
         (68, 4),
+        // The served width.
+        (32, 4),
     ];
     let probes = [ModelId::LeNet, ModelId::Gpt2];
-    for (hidden, heads) in cases {
+    let check = |hidden: usize, heads: usize, ids: &[ModelId]| {
         let cfg = DnnOccuConfig {
             hidden,
             heads,
             ..DnnOccuConfig::fast()
         };
         let model = DnnOccu::new(cfg, 1000 + hidden as u64);
-        for &id in &probes {
+        for &id in ids {
             let fg = graph(id);
             let plan = model.compile_plan_for(&fg);
             assert_eq!(
@@ -78,7 +83,17 @@ fn plan_stays_bitwise_equal_at_ragged_hidden_sizes() {
                 "plan diverged at hidden={hidden} heads={heads} on {id:?}"
             );
         }
+    };
+    for (hidden, heads) in cases {
+        check(hidden, heads, &probes);
     }
+    let mut by_size: Vec<(usize, ModelId)> =
+        ModelId::ALL.iter().map(|&id| (graph(id).node_feats.rows(), id)).collect();
+    by_size.sort_by_key(|&(n, _)| std::cmp::Reverse(n));
+    let largest: Vec<ModelId> = by_size.iter().take(3).map(|&(_, id)| id).collect();
+    let paper: Vec<ModelId> =
+        largest.iter().chain(probes.iter().filter(|id| !largest.contains(id))).copied().collect();
+    check(256, 4, &paper);
 }
 
 /// A plan compiled for one graph shape keeps working across many

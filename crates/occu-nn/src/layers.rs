@@ -184,28 +184,7 @@ impl MultiHeadAttention {
         let k = self.wk.forward(r, store, y);
         let v = self.wv.forward(r, store, y);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-
-        let mut merged: Option<R::V> = None;
-        for h in 0..self.heads {
-            let lo = h * self.head_dim;
-            let hi = lo + self.head_dim;
-            let qh = r.slice_cols(q, lo, hi);
-            let kh = r.slice_cols(k, lo, hi);
-            let vh = r.slice_cols(v, lo, hi);
-            let scores = r.matmul_transb(qh, kh);
-            let scores = r.scale(scores, scale);
-            let scores = match attn_bias {
-                Some(bias) => r.add(scores, bias),
-                None => scores,
-            };
-            let attn = r.softmax_rows(scores);
-            let out_h = r.matmul(attn, vh);
-            merged = Some(match merged {
-                Some(acc) => r.hcat(acc, out_h),
-                None => out_h,
-            });
-        }
-        let concat = merged.expect("at least one head");
+        let concat = r.attention(q, k, v, self.heads, scale, attn_bias);
         self.wo.forward(r, store, concat)
     }
 }

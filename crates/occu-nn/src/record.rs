@@ -3,9 +3,11 @@
 //! Every layer's forward pass is generic over [`Recorder`], so the
 //! network is defined once and recorded two ways: eagerly on a
 //! [`crate::Tape`] (values plus autodiff, for training and as the test
-//! oracle) or as one plan instruction per call by `occu-plan`'s
-//! `ProgramBuilder` (shape-specialized inference). Agreement between
-//! the two comes from sharing this code, not from a hand-kept mirror.
+//! oracle) or as plan instructions by `occu-plan`'s `ProgramBuilder`
+//! (shape-specialized inference): one instruction per call, where an
+//! op the tape records as a sequence ([`Recorder::attention`]) is one
+//! fused instruction with the same bits. Agreement between the two
+//! comes from sharing this code, not from a hand-kept mirror.
 
 use crate::layers::Activation;
 use crate::params::{ParamId, ParamStore};
@@ -31,8 +33,6 @@ pub trait Recorder {
     fn layer_norm(&mut self, store: &ParamStore, gamma: ParamId, beta: ParamId, x: Self::V) -> Self::V;
     /// Pointwise nonlinearity ([`Activation::None`] records nothing).
     fn activation(&mut self, act: Activation, x: Self::V) -> Self::V;
-    /// Scalar multiple `x * s`.
-    fn scale(&mut self, x: Self::V, s: f32) -> Self::V;
     /// Elementwise sum.
     fn add(&mut self, a: Self::V, b: Self::V) -> Self::V;
     /// Elementwise (Hadamard) product.
@@ -42,16 +42,18 @@ pub trait Recorder {
     fn mul_col_broadcast(&mut self, x: Self::V, col: Self::V) -> Self::V;
     /// Matrix product.
     fn matmul(&mut self, a: Self::V, b: Self::V) -> Self::V;
-    /// `a * b^T`.
-    fn matmul_transb(&mut self, a: Self::V, b: Self::V) -> Self::V;
     /// Numerically stable softmax over each row.
     fn softmax_rows(&mut self, x: Self::V) -> Self::V;
+    /// Multi-head scaled dot-product attention of queries `q` over
+    /// keys `k` and values `v` (all `dim` wide, split into `heads`
+    /// column blocks): per head, `softmax(q_h k_h^T * scale + bias)
+    /// v_h`, with the optional `n x m` `bias` shared by every head, and
+    /// the heads' outputs side by side in column order.
+    fn attention(&mut self, q: Self::V, k: Self::V, v: Self::V, heads: usize, scale: f32, bias: Option<Self::V>) -> Self::V;
     /// Column-wise mean, producing a `1 x cols` row.
     fn mean_rows(&mut self, x: Self::V) -> Self::V;
     /// Horizontal concatenation `[a | b]`.
     fn hcat(&mut self, a: Self::V, b: Self::V) -> Self::V;
-    /// Column slice `[start, end)` of every row.
-    fn slice_cols(&mut self, x: Self::V, start: usize, end: usize) -> Self::V;
     /// `y[i] = x[idx[i]]`.
     fn gather_rows(&mut self, x: Self::V, idx: Self::Idx<'_>) -> Self::V;
     /// `y[idx[i]] += x[i]` into `out_rows` zeroed rows — the GNN

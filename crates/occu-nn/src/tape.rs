@@ -356,6 +356,34 @@ impl Tape {
 
     // --- activations ---
 
+    /// Scalar multiple `x * s`.
+    pub fn scale(&mut self, x: Var, s: f32) -> Var {
+        let mut out = self.take(self.shape(x).0, self.shape(x).1);
+        self.value(x).map_into(&mut out, |e| e * s);
+        self.push(out, Op::Scale(x, s))
+    }
+
+    /// `a * b^T` without materializing the transpose.
+    pub fn matmul_transb(&mut self, a: Var, b: Var) -> Var {
+        let mut out = self.take(self.shape(a).0, self.shape(b).0);
+        self.value(a).matmul_transb_into(self.value(b), &mut out);
+        self.push(out, Op::MatmulTransB(a, b))
+    }
+
+    /// Column slice `[start, end)` of every row.
+    pub fn slice_cols(&mut self, x: Var, start: usize, end: usize) -> Var {
+        let (rows, cols) = self.shape(x);
+        assert!(start <= end && end <= cols, "slice_cols: {start}..{end} out of {cols} cols");
+        let mut out = self.take(rows, end - start);
+        {
+            let src = self.value(x);
+            for r in 0..rows {
+                out.row_mut(r).copy_from_slice(&src.row(r)[start..end]);
+            }
+        }
+        self.push(out, Op::SliceCols(x, start, end))
+    }
+
     /// LeakyReLU with negative slope `alpha` (paper's ANEE uses this).
     pub fn leaky_relu(&mut self, x: Var, alpha: f32) -> Var {
         let mut out = self.take(self.shape(x).0, self.shape(x).1);
@@ -853,12 +881,6 @@ impl Recorder for Tape {
         }
     }
 
-    fn scale(&mut self, x: Var, s: f32) -> Var {
-        let mut out = self.take(self.shape(x).0, self.shape(x).1);
-        self.value(x).map_into(&mut out, |e| e * s);
-        self.push(out, Op::Scale(x, s))
-    }
-
     fn add(&mut self, a: Var, b: Var) -> Var {
         let mut out = self.take(self.shape(a).0, self.shape(a).1);
         self.value(a).zip_map_into(self.value(b), &mut out, |x, y| x + y);
@@ -893,16 +915,42 @@ impl Recorder for Tape {
         self.push(out, Op::Matmul(a, b))
     }
 
-    fn matmul_transb(&mut self, a: Var, b: Var) -> Var {
-        let mut out = self.take(self.shape(a).0, self.shape(b).0);
-        self.value(a).matmul_transb_into(self.value(b), &mut out);
-        self.push(out, Op::MatmulTransB(a, b))
-    }
-
     fn softmax_rows(&mut self, x: Var) -> Var {
         let mut out = self.take(self.shape(x).0, self.shape(x).1);
         self.value(x).softmax_rows_into(&mut out);
         self.push(out, Op::SoftmaxRows(x))
+    }
+
+    /// Records the op sequence attention is trained on: per head,
+    /// column slices of `q`, `k` and `v`, `matmul_transb`, scale, bias
+    /// add and row softmax, a matmul with the values, and `hcat` onto
+    /// the heads before it. A compiled plan runs the same arithmetic as
+    /// one fused kernel with the same bits.
+    fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize, scale: f32, bias: Option<Var>) -> Var {
+        let dim = self.shape(q).1;
+        assert!(heads > 0 && dim.is_multiple_of(heads), "attention: {dim} columns in {heads} heads");
+        let head_dim = dim / heads;
+        let mut merged: Option<Var> = None;
+        for h in 0..heads {
+            let lo = h * head_dim;
+            let hi = lo + head_dim;
+            let qh = self.slice_cols(q, lo, hi);
+            let kh = self.slice_cols(k, lo, hi);
+            let vh = self.slice_cols(v, lo, hi);
+            let scores = self.matmul_transb(qh, kh);
+            let scores = self.scale(scores, scale);
+            let scores = match bias {
+                Some(b) => self.add(scores, b),
+                None => scores,
+            };
+            let attn = self.softmax_rows(scores);
+            let out_h = self.matmul(attn, vh);
+            merged = Some(match merged {
+                Some(acc) => self.hcat(acc, out_h),
+                None => out_h,
+            });
+        }
+        merged.expect("at least one head")
     }
 
     fn mean_rows(&mut self, x: Var) -> Var {
@@ -936,19 +984,6 @@ impl Recorder for Tape {
             }
         }
         self.push(out, Op::HCat(a, b))
-    }
-
-    fn slice_cols(&mut self, x: Var, start: usize, end: usize) -> Var {
-        let (rows, cols) = self.shape(x);
-        assert!(start <= end && end <= cols, "slice_cols: {start}..{end} out of {cols} cols");
-        let mut out = self.take(rows, end - start);
-        {
-            let src = self.value(x);
-            for r in 0..rows {
-                out.row_mut(r).copy_from_slice(&src.row(r)[start..end]);
-            }
-        }
-        self.push(out, Op::SliceCols(x, start, end))
     }
 
     /// Differentiable; backward scatter-adds.

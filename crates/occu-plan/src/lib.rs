@@ -16,12 +16,15 @@
 //!
 //! [`ProgramBuilder`] implements `occu-nn`'s [`Recorder`], the trait
 //! every layer's forward pass is written against: recording a model's
-//! forward pass on a builder emits one instruction per op the tape
-//! would record, in the same order. This crate knows no model;
-//! `occu-core`'s `DnnOccu::compile_plan_with` records one. Each
+//! forward pass on a builder emits one instruction per recorder call,
+//! in the same order. Most calls are one op on the tape too; attention
+//! is one [`Instr::Attention`] where the tape records a slice, score,
+//! scale, bias, softmax and value product per head. This crate knows no
+//! model; `occu-core`'s `DnnOccu::compile_plan_with` records one. Each
 //! instruction's executor arm calls the same public `occu-tensor`
 //! kernels (`matmul_into`, `softmax_rows_into`, `layernorm_rows_into`,
 //! `gelu_into`, ...) as the tape's op, with operands in the same
+//! order, and the fused attention kernel keeps the tape's summation
 //! order, so a compiled plan is bitwise-equal to the interpreted
 //! forward pass on every ISA rung, including `OCCU_FORCE_SCALAR=1`.
 //!
@@ -29,7 +32,7 @@
 //! [`Recorder`] trait, parameter store and [`Activation`] selector).
 
 use occu_nn::{Activation, ParamId, ParamStore, Recorder};
-use occu_tensor::{matmul_i8_into, Matrix, PackedB, PackedI8, ScratchArena};
+use occu_tensor::{attention_into, matmul_i8_into, Matrix, PackedB, PackedI8, ScratchArena};
 
 /// Numeric tier a plan's weight matmuls were lowered to. Tagged on
 /// every [`Program`] so plan caches can key on it — two tenants
@@ -133,8 +136,6 @@ pub enum UnaryOp {
     Sigmoid,
     /// Hyperbolic tangent ([`Matrix::tanh_into`]).
     Tanh,
-    /// `e * s`, the tape's `scale`.
-    Scale(f32),
 }
 
 /// One VM instruction. `dst` is always a fresh register (plans are in
@@ -171,8 +172,8 @@ pub enum Instr {
         /// Destination register.
         dst: u16,
     },
-    /// `dst = a * b` for runtime right-hand sides (attention values,
-    /// small parameter vectors).
+    /// `dst = a * b` for runtime right-hand sides (small parameter
+    /// vectors).
     Matmul {
         /// Left operand.
         a: Src,
@@ -181,12 +182,26 @@ pub enum Instr {
         /// Destination register.
         dst: u16,
     },
-    /// `dst = a * b^T` (attention score products).
-    MatmulTransB {
-        /// Left operand.
-        a: Src,
-        /// Right operand, used transposed.
-        b: Src,
+    /// Multi-head attention through `occu-tensor`'s fused kernel
+    /// ([`occu_tensor::attention_into`]): per head, scores `q k^T`
+    /// scaled by `scale`, plus `bias`, row softmax, times `v`, each
+    /// head's columns written straight into `dst`. One instruction for
+    /// the op sequence the tape records ([`Recorder::attention`]), with
+    /// the same bits; the kernel's scratch comes from the executor's
+    /// arena.
+    Attention {
+        /// `n x dim` queries.
+        q: Src,
+        /// `m x dim` keys.
+        k: Src,
+        /// `m x dim` values.
+        v: Src,
+        /// Head count; `dim / heads` columns each.
+        heads: usize,
+        /// Score scale (`1 / sqrt(head_dim)`).
+        scale: f32,
+        /// Optional `n x m` score bias shared by every head.
+        bias: Option<Src>,
         /// Destination register.
         dst: u16,
     },
@@ -276,17 +291,6 @@ pub enum Instr {
         /// Destination register.
         dst: u16,
     },
-    /// Column slice `dst = a[:, lo..hi]`.
-    SliceCols {
-        /// Operand.
-        a: Src,
-        /// First column (inclusive).
-        lo: usize,
-        /// Last column (exclusive).
-        hi: usize,
-        /// Destination register.
-        dst: u16,
-    },
     /// `1 x cols` mean over rows: accumulate rows in order with the
     /// dispatched `add_into`, then scale by `1.0 / rows`.
     MeanRows {
@@ -314,7 +318,7 @@ impl Instr {
             Instr::MatmulPacked { dst, .. }
             | Instr::MatmulPackedI8 { dst, .. }
             | Instr::Matmul { dst, .. }
-            | Instr::MatmulTransB { dst, .. }
+            | Instr::Attention { dst, .. }
             | Instr::Add { dst, .. }
             | Instr::Mul { dst, .. }
             | Instr::MulColBroadcast { dst, .. }
@@ -324,7 +328,6 @@ impl Instr {
             | Instr::GatherRows { dst, .. }
             | Instr::ScatterAddRows { dst, .. }
             | Instr::HCat { dst, .. }
-            | Instr::SliceCols { dst, .. }
             | Instr::MeanRows { dst, .. }
             | Instr::SpdBias { dst, .. } => dst,
         }
@@ -339,10 +342,8 @@ impl Instr {
             | Instr::LayerNormAffine { a, .. }
             | Instr::GatherRows { a, .. }
             | Instr::ScatterAddRows { a, .. }
-            | Instr::SliceCols { a, .. }
             | Instr::MeanRows { a, .. } => f(a),
             Instr::Matmul { a, b, .. }
-            | Instr::MatmulTransB { a, b, .. }
             | Instr::Add { a, b, .. }
             | Instr::Mul { a, b, .. }
             | Instr::HCat { a, b, .. } => {
@@ -352,6 +353,14 @@ impl Instr {
             Instr::MulColBroadcast { a, col, .. } => {
                 f(a);
                 f(col);
+            }
+            Instr::Attention { q, k, v, bias, .. } => {
+                f(q);
+                f(k);
+                f(v);
+                if let Some(b) = bias {
+                    f(b);
+                }
             }
             Instr::SpdBias { .. } => {}
         }
@@ -666,8 +675,8 @@ impl ProgramBuilder {
     }
 }
 
-/// Plan recording: one instruction per op. Parameters are snapshot at
-/// record time, so a reloaded model needs fresh plans.
+/// Plan recording: one instruction per call. Parameters are snapshot
+/// at record time, so a reloaded model needs fresh plans.
 impl Recorder for ProgramBuilder {
     type V = Src;
     type Idx<'a> = IdxRef;
@@ -725,10 +734,6 @@ impl Recorder for ProgramBuilder {
         }
     }
 
-    fn scale(&mut self, x: Src, s: f32) -> Src {
-        self.unary(x, UnaryOp::Scale(s))
-    }
-
     fn add(&mut self, a: Src, b: Src) -> Src {
         let sa = self.shape(a);
         assert_eq!(sa, self.shape(b), "plan: add shape mismatch");
@@ -747,8 +752,8 @@ impl Recorder for ProgramBuilder {
         self.emit(sa, |dst| Instr::MulColBroadcast { a, col, dst })
     }
 
-    /// Runtime right-hand sides (attention values, small parameter
-    /// vectors); weight matmuls go through [`Recorder::linear`].
+    /// Runtime right-hand sides (small parameter vectors); weight
+    /// matmuls go through [`Recorder::linear`].
     fn matmul(&mut self, a: Src, b: Src) -> Src {
         let (ar, ac) = self.shape(a);
         let (br, bc) = self.shape(b);
@@ -756,16 +761,22 @@ impl Recorder for ProgramBuilder {
         self.emit((ar, bc), |dst| Instr::Matmul { a, b, dst })
     }
 
-    fn matmul_transb(&mut self, a: Src, b: Src) -> Src {
-        let (ar, ac) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!(ac, bc, "plan: matmul_transb inner dim mismatch");
-        self.emit((ar, br), |dst| Instr::MatmulTransB { a, b, dst })
-    }
-
     fn softmax_rows(&mut self, a: Src) -> Src {
         let sa = self.shape(a);
         self.emit(sa, |dst| Instr::SoftmaxRows { a, dst })
+    }
+
+    /// One [`Instr::Attention`] for the whole multi-head block.
+    fn attention(&mut self, q: Src, k: Src, v: Src, heads: usize, scale: f32, bias: Option<Src>) -> Src {
+        let (n, dim) = self.shape(q);
+        let (m, kc) = self.shape(k);
+        assert!(heads > 0 && dim.is_multiple_of(heads), "plan: attention over {dim} columns in {heads} heads");
+        assert_eq!(kc, dim, "plan: attention key width mismatch");
+        assert_eq!(self.shape(v), (m, dim), "plan: attention value shape mismatch");
+        if let Some(b) = bias {
+            assert_eq!(self.shape(b), (n, m), "plan: attention bias shape mismatch");
+        }
+        self.emit((n, dim), |dst| Instr::Attention { q, k, v, heads, scale, bias, dst })
     }
 
     fn mean_rows(&mut self, a: Src) -> Src {
@@ -779,12 +790,6 @@ impl Recorder for ProgramBuilder {
         let (br, bc) = self.shape(b);
         assert_eq!(ar, br, "plan: hcat row mismatch");
         self.emit((ar, ac + bc), |dst| Instr::HCat { a, b, dst })
-    }
-
-    fn slice_cols(&mut self, a: Src, lo: usize, hi: usize) -> Src {
-        let (ar, ac) = self.shape(a);
-        assert!(lo < hi && hi <= ac, "plan: slice_cols out of range");
-        self.emit((ar, hi - lo), |dst| Instr::SliceCols { a, lo, hi, dst })
     }
 
     /// Gathers through a per-request index array.
@@ -927,12 +932,14 @@ impl Executor {
                 av.matmul_into(bv, &mut out);
                 out
             }
-            Instr::MatmulTransB { a, b, dst } => {
-                let av = resolve(regs, p, inp, *a);
-                let bv = resolve(regs, p, inp, *b);
+            Instr::Attention { q, k, v, heads, scale, bias, dst } => {
+                let qv = resolve(regs, p, inp, *q);
+                let kv = resolve(regs, p, inp, *k);
+                let vv = resolve(regs, p, inp, *v);
+                let bv = bias.map(|b| resolve(regs, p, inp, b));
                 let (r, c) = p.reg_shapes[*dst as usize];
                 let mut out = self.arena.take_zeroed(r, c);
-                av.matmul_transb_into(bv, &mut out);
+                attention_into(qv, kv, vv, *heads, *scale, bv, &mut out, &mut self.arena);
                 out
             }
             Instr::Add { a, b, dst } => {
@@ -975,7 +982,6 @@ impl Executor {
                     UnaryOp::Gelu => av.gelu_into(&mut out),
                     UnaryOp::Sigmoid => av.sigmoid_into(&mut out),
                     UnaryOp::Tanh => av.tanh_into(&mut out),
-                    UnaryOp::Scale(s) => av.map_into(&mut out, |e| e * s),
                 }
                 out
             }
@@ -1029,15 +1035,6 @@ impl Executor {
                 for row in 0..r {
                     out.row_mut(row)[..ca].copy_from_slice(av.row(row));
                     out.row_mut(row)[ca..].copy_from_slice(bv.row(row));
-                }
-                out
-            }
-            Instr::SliceCols { a, lo, hi, dst } => {
-                let av = resolve(regs, p, inp, *a);
-                let (r, c) = p.reg_shapes[*dst as usize];
-                let mut out = self.arena.take_zeroed(r, c);
-                for row in 0..r {
-                    out.row_mut(row).copy_from_slice(&av.row(row)[*lo..*hi]);
                 }
                 out
             }
@@ -1144,12 +1141,55 @@ mod tests {
         }
     }
 
+    /// Plain-loop multi-head attention, independent of the fused
+    /// kernel: per head and query row, each score a `+0.0`-based chain
+    /// over the head columns, scaled, biased, softmaxed by the row
+    /// kernel, then each output a `+0.0`-based chain over the keys.
+    fn reference_attention(q: &Matrix, k: &Matrix, v: &Matrix, heads: usize, bias: Option<&Matrix>) -> Matrix {
+        let (n, dim) = q.shape();
+        let m = k.rows();
+        let d = dim / heads;
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut out = Matrix::zeros(n, dim);
+        for h in 0..heads {
+            let lo = h * d;
+            let mut scores = Matrix::zeros(n, m);
+            for i in 0..n {
+                for j in 0..m {
+                    let mut s = 0.0f32;
+                    for t in lo..lo + d {
+                        s += q.get(i, t) * k.get(j, t);
+                    }
+                    s *= scale;
+                    if let Some(b) = bias {
+                        s += b.get(i, j);
+                    }
+                    scores.set(i, j, s);
+                }
+            }
+            let probs = scores.softmax_rows();
+            for i in 0..n {
+                for c in lo..lo + d {
+                    let mut acc = 0.0f32;
+                    for j in 0..m {
+                        acc += probs.get(i, j) * v.get(j, c);
+                    }
+                    out.set(i, c, acc);
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn structured_ops_match_reference_semantics_bitwise() {
         let fx = Fixture::new(0xC0FFEE, 5, 7);
         let mut rng = SeededRng::new(11);
         let gamma = rand_matrix(&mut rng, 1, 5);
         let beta = rand_matrix(&mut rng, 1, 5);
+        let w = rand_matrix(&mut rng, 5, 6);
+        let seeds = rand_matrix(&mut rng, 3, 6);
+        let w_out = rand_matrix(&mut rng, 6, 5);
         let thetas = [0.25_f32, -0.5, 1.5];
         let mut store = ParamStore::new();
         let theta_ids: Vec<ParamId> = thetas
@@ -1161,31 +1201,40 @@ mod tests {
         let mut b = ProgramBuilder::new(fx.shapes);
         let gid = b.plain_weight(gamma.clone());
         let bid = b.plain_weight(beta.clone());
+        let wid = b.packed_weight(&w);
+        let seeds_src = Src::Weight(b.plain_weight(seeds.clone()));
+        let w_out_src = Src::Weight(b.plain_weight(w_out.clone()));
 
         // gather node rows per edge source, scatter them back onto
-        // destinations, normalize, softmax the SPD-biased self-product,
-        // then mean-pool and concatenate with the global features.
+        // destinations, normalize and widen to two 3-column heads, run
+        // SPD-biased self-attention over the nodes, then pool it into
+        // three seed rows with unbiased cross-attention (n != m, as in
+        // PMA); softmax, mix, activate, mean-pool and concatenate with
+        // the global features.
         let nodes = Src::Input(InputRef::NodeFeats);
         let gathered = b.gather_rows(nodes, IdxRef::EdgeSrc);
         let scattered = b.scatter_add_rows(gathered, IdxRef::EdgeDst, fx.shapes.n_nodes);
         let summed = b.add(scattered, nodes);
         let normed = b.layer_norm_affine(summed, gid, bid);
-        let scores = b.matmul_transb(normed, normed);
+        let wide = b.matmul_packed(normed, wid, None);
         let bias = b.spd_bias(&store, &theta_ids, SpdRef);
-        let biased = b.add(scores, bias);
-        let attn = b.softmax_rows(biased);
-        let mixed = b.matmul(attn, normed);
+        let scale = 1.0 / 3.0f32.sqrt();
+        let att = b.attention(wide, wide, wide, 2, scale, Some(bias));
+        let slots = b.attention(seeds_src, att, att, 2, scale, None);
+        let probs = b.softmax_rows(slots);
+        let mixed = b.matmul(probs, w_out_src);
         let act = b.unary(mixed, UnaryOp::Gelu);
         let pooled = b.mean_rows(act);
-        let wide = b.hcat(pooled, Src::Input(InputRef::GlobalFeats));
-        let out = b.slice_cols(wide, 0, 6);
+        let out = b.hcat(pooled, Src::Input(InputRef::GlobalFeats));
         let prog = b.finish(out);
+        assert_eq!(prog.stats().instrs, 13);
 
         let mut ex = Executor::new();
         let got = ex.run(&prog, &fx.inputs());
 
-        // Reference path: same kernels invoked directly, mirroring the
-        // tape interpreter's op-by-op recipes.
+        // Reference path: the other ops' kernels invoked directly,
+        // mirroring the tape interpreter's op-by-op recipes, and
+        // attention as plain loops.
         let n = fx.shapes.n_nodes;
         let mut gathered_r = Matrix::zeros(fx.shapes.n_edges, 5);
         fx.node_feats.gather_rows_into(&fx.edge_src, &mut gathered_r);
@@ -1203,12 +1252,13 @@ mod tests {
                 *o = *o * gv + bv;
             }
         }
-        let scores_r = normed_r.matmul_transb(&normed_r);
+        let wide_r = normed_r.matmul(&w);
         let bias_r = Matrix::from_fn(n, n, |i, j| thetas[fx.spd[i * n + j] as usize]);
-        let biased_r = scores_r.zip_map(&bias_r, |x, y| x + y);
-        let attn_r = biased_r.softmax_rows();
-        let mixed_r = attn_r.matmul(&normed_r);
-        let mut act_r = Matrix::zeros(n, 5);
+        let att_r = reference_attention(&wide_r, &wide_r, &wide_r, 2, Some(&bias_r));
+        let slots_r = reference_attention(&seeds, &att_r, &att_r, 2, None);
+        let probs_r = slots_r.softmax_rows();
+        let mixed_r = probs_r.matmul(&w_out);
+        let mut act_r = Matrix::zeros(3, 5);
         mixed_r.gelu_into(&mut act_r);
         let mut pooled_r = Matrix::zeros(1, 5);
         for row in 0..act_r.rows() {
@@ -1218,14 +1268,12 @@ mod tests {
         for o in pooled_r.row_mut(0) {
             *o *= inv;
         }
-        let wide_r = pooled_r.hcat(&fx.global_feats);
-        let want = Matrix::from_fn(1, 6, |_, j| wide_r.get(0, j));
+        let want = pooled_r.hcat(&fx.global_feats);
 
         assert_eq!(got.shape(), want.shape());
         for (g, w) in got.data().iter().zip(want.data().iter()) {
             assert_eq!(g.to_bits(), w.to_bits(), "structured program diverged from reference");
         }
-        assert_eq!(prog.stats().instrs, 13);
     }
 
     #[test]
@@ -1272,7 +1320,6 @@ mod tests {
             UnaryOp::Gelu,
             UnaryOp::Sigmoid,
             UnaryOp::Tanh,
-            UnaryOp::Scale(-1.75),
         ];
         for op in ops {
             let mut b = ProgramBuilder::new(shapes);
@@ -1287,7 +1334,6 @@ mod tests {
                 UnaryOp::Gelu => tape.gelu(x),
                 UnaryOp::Sigmoid => tape.sigmoid(x),
                 UnaryOp::Tanh => tape.tanh(x),
-                UnaryOp::Scale(s) => Recorder::scale(&mut tape, x, s),
             };
             let want = tape.value(y);
             assert_eq!(got.shape(), want.shape());
@@ -1346,15 +1392,24 @@ mod tests {
         let fx = Fixture::new(0xFEED, 8, 10);
         let mut rng = SeededRng::new(3);
         let w = rand_matrix(&mut rng, 5, 16);
+        let seeds = rand_matrix(&mut rng, 3, 16);
+        let mut store = ParamStore::new();
+        let thetas: Vec<ParamId> = (0..3)
+            .map(|i| store.register(format!("theta{i}"), Matrix::from_vec(1, 1, vec![0.1 * i as f32])))
+            .collect();
 
+        // Biased self-attention over the nodes and unbiased
+        // cross-attention from three seeds, two heads each: the fused
+        // instruction's scratch must come from the warm arena too.
         let mut b = ProgramBuilder::new(fx.shapes);
         let wid = b.packed_weight(&w);
+        let seeds = Src::Weight(b.plain_weight(seeds));
         let h = b.matmul_packed(Src::Input(InputRef::NodeFeats), wid, None);
         let act = b.unary(h, UnaryOp::Relu);
-        let scores = b.matmul_transb(act, act);
-        let attn = b.softmax_rows(scores);
-        let mixed = b.matmul(attn, act);
-        let pooled = b.mean_rows(mixed);
+        let bias = b.spd_bias(&store, &thetas, SpdRef);
+        let att = b.attention(act, act, act, 2, 0.25, Some(bias));
+        let slots = b.attention(seeds, att, att, 2, 0.25, None);
+        let pooled = b.mean_rows(slots);
         let prog = b.finish(pooled);
 
         let mut ex = Executor::new();

@@ -19,8 +19,9 @@
 //! round-robin order until its own replies are in or the queue is
 //! empty, and blocks only on jobs other workers are running.
 //!
-//! Shutdown: [`Server::shutdown`] flips the shared flag, joins the
-//! accept thread (no new connections), then joins the workers — which
+//! Shutdown: [`Server::shutdown`] flips the shared flag, wakes the
+//! accept thread (blocked in `accept`) with one loopback connection
+//! and joins it (no new connections), then joins the workers — which
 //! first drain every connection already queued, answering each with
 //! `Connection: close`. A worker never leaves a request before every
 //! job it queued has been run, so nothing accepted is ever dropped.
@@ -41,7 +42,7 @@ use rayon::prelude::*;
 use serde::Value;
 use std::collections::BTreeMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -334,9 +335,6 @@ impl Server {
     pub fn start_fleet(cfg: ServeConfig, fleet: Arc<FleetRegistry>) -> occu_error::Result<Server> {
         cfg.validate()?;
         let listener = TcpListener::bind(&cfg.addr).io_context(format!("bind {}", cfg.addr))?;
-        listener
-            .set_nonblocking(true)
-            .io_context("listener set_nonblocking")?;
         let addr = listener.local_addr().io_context("listener local_addr")?;
 
         occu_obs::enable();
@@ -407,7 +405,8 @@ impl Server {
     }
 
     /// Flags shutdown without blocking (signal-handler path); follow
-    /// with [`Server::shutdown`] to join.
+    /// with [`Server::shutdown`], which wakes the accept thread out of
+    /// `accept` and joins every thread.
     pub fn request_shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
     }
@@ -420,7 +419,7 @@ impl Server {
     /// Stops accepting, drains every queued and in-flight request,
     /// joins all threads, and reports final counters.
     pub fn shutdown(mut self) -> DrainStats {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.stop_accepting();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -433,14 +432,35 @@ impl Server {
         occu_obs::info!("serve: drained and stopped");
         snapshot_stats(&self.state)
     }
+
+    /// Raises the shutdown flag and wakes the accept thread, which
+    /// blocks in `accept`, with one connection to the listener's own
+    /// port (on the loopback address of its family when it is bound to
+    /// the unspecified address).
+    fn stop_accepting(&self) {
+        self.state.shutdown.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+            occu_obs::warn!("serve: could not wake the accept thread at {wake}: {e}");
+        }
+    }
 }
 
 impl Drop for Server {
-    /// Raises the shutdown flag, so a server dropped without
-    /// [`Server::shutdown`] (a test panicking mid-way) stops accepting
-    /// and its threads exit on their own; nothing is joined.
+    /// Stops accepting, so a server dropped without
+    /// [`Server::shutdown`] (a test panicking mid-way) lets its threads
+    /// exit on their own; nothing is joined. After `shutdown` there is
+    /// nothing left to stop.
     fn drop(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        if self.accept.is_some() {
+            self.stop_accepting();
+        }
     }
 }
 
@@ -456,14 +476,16 @@ fn snapshot_stats(state: &ServerState) -> DrainStats {
     }
 }
 
+/// Blocks in `accept`; after shutdown is flagged, the next connection
+/// (the one [`Server`]'s `stop_accepting` makes) ends the loop.
 fn accept_loop(state: &ServerState, listener: &TcpListener, conn_tx: &SyncSender<QueuedConn>) {
-    while !state.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if state.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                // The listener is nonblocking; accepted sockets must not be.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
                 let conn = QueuedConn { stream, accepted_at: Instant::now() };
                 match conn_tx.try_send(conn) {
                     Ok(()) => state.telemetry.queue_push(),
@@ -476,9 +498,6 @@ fn accept_loop(state: &ServerState, listener: &TcpListener, conn_tx: &SyncSender
                     }
                     Err(TrySendError::Disconnected(_)) => return,
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(500));
             }
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }

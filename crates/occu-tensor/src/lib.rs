@@ -25,6 +25,7 @@
 //! the paper reproduction are repeatable bit-for-bit on one machine.
 
 mod arena;
+mod attention;
 mod dispatch;
 mod gemm;
 mod matrix;
@@ -33,6 +34,7 @@ mod quant;
 mod random;
 mod simd;
 
+pub use attention::attention_into;
 pub use arena::{
     arena_total_allocated_bytes, arena_total_fresh_allocs, arena_total_takes, ScratchArena,
 };

@@ -79,7 +79,7 @@ fn lane_sumsq_dev_scalar(xs: &[f32], mean: f32) -> f32 {
 /// The ISA the row-wise primitives run on. The NEON port currently
 /// covers only the GEMM kernel, so it maps down to scalar.
 #[inline]
-fn rowwise_isa() -> Isa {
+pub(crate) fn rowwise_isa() -> Isa {
     match dispatch::active_isa() {
         // AVX-512 hosts also run the row passes on the AVX2 code: the
         // fused row primitives are memory-bound, so wider lanes buy
@@ -97,6 +97,12 @@ pub fn add_into(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "add_into: length mismatch");
     let isa = rowwise_isa();
     dispatch::note_dispatch(isa);
+    add_slice(dst, src, isa);
+}
+
+/// `dst[i] += src[i]` on an already-resolved ISA.
+#[inline]
+pub(crate) fn add_slice(dst: &mut [f32], src: &[f32], isa: Isa) {
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `rowwise_isa` returns Avx2 only after runtime
@@ -650,10 +656,11 @@ impl Matrix {
     }
 }
 
-/// Dot product of two equal-length slices.
-///
-/// Written as a simple fold over a zipped iterator; LLVM vectorizes
-/// this into packed FMA on x86-64.
+/// Dot product of two equal-length slices: one chain of separate
+/// multiplies and adds in ascending order, starting from `-0.0` (std's
+/// float `Sum`), which the compiler may neither reassociate nor fuse
+/// into FMA. The blocked GEMM's chains start from `+0.0`; the two
+/// differ only in the sign of a sum whose every product is `-0.0`.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -673,7 +680,7 @@ pub fn softmax_in_place(xs: &mut [f32]) {
 /// accumulating the lane-structured sum, divide. The SIMD and scalar
 /// paths produce bitwise-identical output; the only value that may
 /// differ is the sign of a zero row max, which `exp` erases.
-fn softmax_row(xs: &mut [f32], isa: Isa) {
+pub(crate) fn softmax_row(xs: &mut [f32], isa: Isa) {
     if xs.is_empty() {
         return;
     }

@@ -48,6 +48,7 @@ use crate::ops::combine_lanes;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use super::*;
+    use crate::attention::{KEY_GROUP, LANES, ROWS};
     use crate::ops::{
         exp_scalar, gelu_grad_scalar, gelu_scalar, sigmoid_scalar, tanh_scalar, ExpAct, EXP_HI,
         EXP_LO, EXP_POLY, GELU_3K, GELU_C, GELU_K, LN2_HI, LN2_LO, ROUND_MAGIC,
@@ -486,6 +487,138 @@ pub(crate) mod x86 {
         }
         for (o, &v) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
             *o = scalar(v);
+        }
+    }
+
+    /// `out[j] = (q . key j) * scale` over a key panel laid out as in
+    /// `attention::pack_keys` (chunks of eight keys, `q.len()` rows of
+    /// eight lanes each), bitwise `attention::scores_scalar`: one
+    /// `+0.0`-based mul-then-add chain per lane in ascending head
+    /// dimension, then the scale. Four chunks run in flight so the add
+    /// latency overlaps; leftover chunks go one at a time.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn attn_scores_avx2(q: &[f32], kt: &[f32], scale: f32, out: &mut [f32]) {
+        let step = q.len() * LANES;
+        let chunks = out.len() / LANES;
+        assert!(out.len() == chunks * LANES && kt.len() == chunks * step);
+        let vs = _mm256_set1_ps(scale);
+        let kp = kt.as_ptr();
+        let op = out.as_mut_ptr();
+        let mut c = 0;
+        while c + KEY_GROUP <= chunks {
+            let base = kp.add(c * step);
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            let mut a2 = _mm256_setzero_ps();
+            let mut a3 = _mm256_setzero_ps();
+            for (t, &qt) in q.iter().enumerate() {
+                let qb = _mm256_set1_ps(qt);
+                let row = base.add(t * LANES);
+                a0 = _mm256_add_ps(a0, _mm256_mul_ps(qb, _mm256_loadu_ps(row)));
+                a1 = _mm256_add_ps(a1, _mm256_mul_ps(qb, _mm256_loadu_ps(row.add(step))));
+                a2 = _mm256_add_ps(a2, _mm256_mul_ps(qb, _mm256_loadu_ps(row.add(2 * step))));
+                a3 = _mm256_add_ps(a3, _mm256_mul_ps(qb, _mm256_loadu_ps(row.add(3 * step))));
+            }
+            let dst = op.add(c * LANES);
+            _mm256_storeu_ps(dst, _mm256_mul_ps(a0, vs));
+            _mm256_storeu_ps(dst.add(LANES), _mm256_mul_ps(a1, vs));
+            _mm256_storeu_ps(dst.add(2 * LANES), _mm256_mul_ps(a2, vs));
+            _mm256_storeu_ps(dst.add(3 * LANES), _mm256_mul_ps(a3, vs));
+            c += KEY_GROUP;
+        }
+        while c < chunks {
+            let base = kp.add(c * step);
+            let mut a = _mm256_setzero_ps();
+            for (t, &qt) in q.iter().enumerate() {
+                let kv = _mm256_loadu_ps(base.add(t * LANES));
+                a = _mm256_add_ps(a, _mm256_mul_ps(_mm256_set1_ps(qt), kv));
+            }
+            _mm256_storeu_ps(op.add(c * LANES), _mm256_mul_ps(a, vs));
+            c += 1;
+        }
+    }
+
+    /// `block[r][lo..lo + d] = p[r][..m] * vp` for the first `rows`
+    /// query rows of a block, bitwise the scalar loop in
+    /// `attention::weighted_values`: each output lane is one
+    /// `+0.0`-based mul-then-add chain over the keys in ascending
+    /// order. `p` rows are `ldp` apart and `vp` is the `m x dp` value
+    /// panel; one 8-lane accumulator per query row (eight rows, or four
+    /// for a short block) keeps that many chains in flight, and rows
+    /// past `rows` compute on whatever finite values the buffer holds
+    /// and are never stored.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn attn_pv_avx2(
+        p: &[f32],
+        ldp: usize,
+        vp: &[f32],
+        m: usize,
+        dp: usize,
+        rows: usize,
+        block: &mut [f32],
+        ldo: usize,
+        lo: usize,
+        d: usize,
+    ) {
+        if rows > ROWS / 2 {
+            pv_rows::<ROWS>(p, ldp, vp, m, dp, rows, block, ldo, lo, d)
+        } else {
+            pv_rows::<{ ROWS / 2 }>(p, ldp, vp, m, dp, rows, block, ldo, lo, d)
+        }
+    }
+
+    /// [`attn_pv_avx2`] with `R` accumulator rows.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pv_rows<const R: usize>(
+        p: &[f32],
+        ldp: usize,
+        vp: &[f32],
+        m: usize,
+        dp: usize,
+        rows: usize,
+        block: &mut [f32],
+        ldo: usize,
+        lo: usize,
+        d: usize,
+    ) {
+        assert!(rows > 0 && rows <= R && d <= dp && dp.is_multiple_of(LANES));
+        assert!(m <= ldp && R * ldp <= p.len() && m * dp <= vp.len());
+        assert!((rows - 1) * ldo + lo + d <= block.len());
+        let pp = p.as_ptr();
+        let vptr = vp.as_ptr();
+        let bp = block.as_mut_ptr();
+        for cc in (0..dp).step_by(LANES) {
+            let mut acc = [_mm256_setzero_ps(); R];
+            for j in 0..m {
+                let vb = _mm256_loadu_ps(vptr.add(j * dp + cc));
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let pr = _mm256_set1_ps(*pp.add(r * ldp + j));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(pr, vb));
+                }
+            }
+            let cols = LANES.min(d - cc);
+            for (r, a) in acc.iter().enumerate().take(rows) {
+                let dst = bp.add(r * ldo + lo + cc);
+                if cols == LANES {
+                    _mm256_storeu_ps(dst, *a);
+                } else {
+                    let mut lanes = [0.0f32; LANES];
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), *a);
+                    std::ptr::copy_nonoverlapping(lanes.as_ptr(), dst, cols);
+                }
+            }
         }
     }
 
