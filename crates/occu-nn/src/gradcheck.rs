@@ -146,6 +146,31 @@ mod tests {
     }
 
     #[test]
+    fn ragged_cross_attention_gradients_pass() {
+        // Two query rows over five keys (n != m, as in PMA), two heads
+        // of three columns, and a score bias.
+        let mut rng = SeededRng::new(17);
+        let mut store = ParamStore::new();
+        let mha = MultiHeadAttention::new(&mut store, "mha", 6, 2, &mut rng);
+        let x = Matrix::randn(2, 6, 0.8, &mut rng);
+        let y = Matrix::randn(5, 6, 0.8, &mut rng);
+        let bias = Matrix::randn(2, 5, 1.0, &mut rng);
+        let w = Matrix::randn(2, 6, 2.0, &mut rng);
+        let params: Vec<ParamId> = store.ids().collect();
+        assert_gradients_ok(&mut store, &params, 0.05, |store| {
+            let mut tape = Tape::new();
+            let xv = tape.constant(x.clone());
+            let yv = tape.constant(y.clone());
+            let bv = tape.constant(bias.clone());
+            let out = mha.forward(&mut tape, store, xv, yv, Some(bv));
+            let wv = tape.constant(w.clone());
+            let weighted = tape.mul(out, wv);
+            let l = tape.sum_all(weighted);
+            (tape, l)
+        });
+    }
+
+    #[test]
     fn gelu_feed_forward_gradients_pass() {
         let mut rng = SeededRng::new(15);
         let mut store = ParamStore::new();

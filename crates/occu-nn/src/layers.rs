@@ -134,7 +134,10 @@ impl FeedForward {
 /// values from `Y`) as required by the Set Transformer's MAB
 /// (§III-D), plus an optional additive attention bias shared across
 /// heads — the hook used by the Graphormer layer's structural
-/// (shortest-path) encoding.
+/// (shortest-path) encoding. Between the Q/K/V projections and the
+/// output projection, all heads are one [`Recorder::attention`] call:
+/// one fused-kernel node on the tape (a fused backward included) and
+/// one instruction in a plan.
 #[derive(Clone, Debug)]
 pub struct MultiHeadAttention {
     wq: Linear,

@@ -4,10 +4,10 @@
 //! network is defined once and recorded two ways: eagerly on a
 //! [`crate::Tape`] (values plus autodiff, for training and as the test
 //! oracle) or as plan instructions by `occu-plan`'s `ProgramBuilder`
-//! (shape-specialized inference): one instruction per call, where an
-//! op the tape records as a sequence ([`Recorder::attention`]) is one
-//! fused instruction with the same bits. Agreement between the two
-//! comes from sharing this code, not from a hand-kept mirror.
+//! (shape-specialized inference): one tape node and one instruction
+//! per call, each running the same `occu-tensor` kernel (multi-head
+//! [`Recorder::attention`] included). Agreement between the two comes
+//! from sharing this code, not from a hand-kept mirror.
 
 use crate::layers::Activation;
 use crate::params::{ParamId, ParamStore};

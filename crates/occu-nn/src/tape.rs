@@ -15,6 +15,11 @@
 //! polynomial exp, the same kernels compiled plans call. The SPD
 //! attention bias is one gather op whose backward sums the gradient per
 //! bucket, the same gather a plan's `SpdBias` instruction performs.
+//! Multi-head attention is one node: its forward is the fused kernel a
+//! plan's `Attention` instruction runs, keeping each head's softmax
+//! rows, and its backward is the kernel's fused backward, with the
+//! bits of the per-head op sequence (slices, `matmul_transb`, scale,
+//! bias add, softmax, `matmul`, `hcat`) the tape once recorded.
 
 use crate::layers::Activation;
 use crate::params::{ParamId, ParamStore};
@@ -79,6 +84,10 @@ enum Op {
     /// bias. `theta[b]` is the `1x1` parameter node `first_theta + b`,
     /// recorded just before this op, one per bucket.
     SpdBias { first_theta: usize, buckets: usize, spd: Vec<u8> },
+    /// Multi-head attention through `occu-tensor`'s fused kernel;
+    /// `probs` (`heads * n x m`, arena storage) keeps every head's
+    /// softmax rows for backward.
+    Attention { q: Var, k: Var, v: Var, bias: Option<Var>, heads: usize, scale: f32, probs: Matrix },
 }
 
 struct Node {
@@ -249,6 +258,7 @@ impl Tape {
                     spd.clear();
                     self.free_spd.push(spd);
                 }
+                Op::Attention { probs, .. } => arena.recycle(probs),
                 _ => {}
             }
         }
@@ -500,6 +510,20 @@ impl Tape {
                 self.arena.borrow_mut().recycle(g);
             }
             slot @ None => *slot = Some(g),
+        }
+    }
+
+    /// Accumulates rows `r0..r0 + rows` of `g` into slot `idx`, like
+    /// [`Tape::acc_ref`] on that block.
+    fn acc_rows(&self, grads: &mut [Option<Matrix>], idx: usize, g: &Matrix, r0: usize, rows: usize) {
+        let block = &g.data()[r0 * g.cols()..(r0 + rows) * g.cols()];
+        match &mut grads[idx] {
+            Some(existing) => occu_tensor::add_into(existing.data_mut(), block),
+            slot @ None => {
+                let mut copy = self.take(rows, g.cols());
+                copy.data_mut().copy_from_slice(block);
+                *slot = Some(copy);
+            }
         }
     }
 
@@ -823,6 +847,43 @@ impl Tape {
                     self.recycle(sums);
                     self.recycle(g);
                 }
+                Op::Attention { q, k, v, bias, heads, scale, probs } => {
+                    let (qv, kv, vv) = (&self.nodes[q.0].value, &self.nodes[k.0].value, &self.nodes[v.0].value);
+                    let mut dq = self.take(qv.rows(), qv.cols());
+                    let mut dk = self.take(kv.rows(), kv.cols());
+                    let mut dv = self.take(vv.rows(), vv.cols());
+                    let mut dbias = bias.map(|_| self.take(probs.rows(), probs.cols()));
+                    occu_tensor::attention_backward_into(
+                        qv,
+                        kv,
+                        vv,
+                        probs,
+                        &g,
+                        *heads,
+                        *scale,
+                        &mut dq,
+                        &mut dk,
+                        &mut dv,
+                        dbias.as_mut(),
+                        &mut self.arena.borrow_mut(),
+                    );
+                    // Each head's bias gradient in descending head
+                    // order, then the value, key and query gradients:
+                    // the order of the per-head op sequence's reverse
+                    // sweep, so a bias shared by several attention
+                    // nodes (the SPD bias) sums to the same bits.
+                    if let (Some(b), Some(db)) = (bias, dbias) {
+                        let n = qv.rows();
+                        for h in (0..*heads).rev() {
+                            self.acc_rows(grads, b.0, &db, h * n, n);
+                        }
+                        self.recycle(db);
+                    }
+                    self.acc_owned(grads, v.0, dv);
+                    self.acc_owned(grads, k.0, dk);
+                    self.acc_owned(grads, q.0, dq);
+                    self.recycle(g);
+                }
             }
         }
     }
@@ -921,36 +982,29 @@ impl Recorder for Tape {
         self.push(out, Op::SoftmaxRows(x))
     }
 
-    /// Records the op sequence attention is trained on: per head,
-    /// column slices of `q`, `k` and `v`, `matmul_transb`, scale, bias
-    /// add and row softmax, a matmul with the values, and `hcat` onto
-    /// the heads before it. A compiled plan runs the same arithmetic as
-    /// one fused kernel with the same bits.
+    /// One node running `occu-tensor`'s fused attention kernel, the
+    /// one a compiled plan's `Attention` instruction runs, keeping
+    /// each head's softmax rows for backward. Its backward,
+    /// [`occu_tensor::attention_backward_into`], returns the bits of
+    /// the per-head op sequence (column slices, `matmul_transb`, scale,
+    /// bias add, row softmax, `matmul`, `hcat`) it replaced.
     fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize, scale: f32, bias: Option<Var>) -> Var {
-        let dim = self.shape(q).1;
-        assert!(heads > 0 && dim.is_multiple_of(heads), "attention: {dim} columns in {heads} heads");
-        let head_dim = dim / heads;
-        let mut merged: Option<Var> = None;
-        for h in 0..heads {
-            let lo = h * head_dim;
-            let hi = lo + head_dim;
-            let qh = self.slice_cols(q, lo, hi);
-            let kh = self.slice_cols(k, lo, hi);
-            let vh = self.slice_cols(v, lo, hi);
-            let scores = self.matmul_transb(qh, kh);
-            let scores = self.scale(scores, scale);
-            let scores = match bias {
-                Some(b) => self.add(scores, b),
-                None => scores,
-            };
-            let attn = self.softmax_rows(scores);
-            let out_h = self.matmul(attn, vh);
-            merged = Some(match merged {
-                Some(acc) => self.hcat(acc, out_h),
-                None => out_h,
-            });
-        }
-        merged.expect("at least one head")
+        let (n, dim) = self.shape(q);
+        let m = self.shape(k).0;
+        let mut out = self.take(n, dim);
+        let mut probs = self.take(heads * n, m);
+        occu_tensor::attention_into(
+            self.value(q),
+            self.value(k),
+            self.value(v),
+            heads,
+            scale,
+            bias.map(|b| self.value(b)),
+            &mut out,
+            Some(&mut probs),
+            &mut self.arena.borrow_mut(),
+        );
+        self.push(out, Op::Attention { q, k, v, bias, heads, scale, probs })
     }
 
     fn mean_rows(&mut self, x: Var) -> Var {
@@ -1069,6 +1123,7 @@ fn layer_norm_bwd_inplace(x: &Matrix, g: &mut Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::MultiHeadAttention;
     use occu_tensor::{assert_close, SeededRng};
 
     /// Gradients of scalar `loss` for every parameter of `store`.
@@ -1301,6 +1356,168 @@ mod tests {
         }
     }
 
+    /// Attention as the tape recorded it before the fused op: per head,
+    /// column slices of `q`, `k` and `v`, `matmul_transb`, scale, bias
+    /// add, row softmax, a matmul with the values, and `hcat` onto the
+    /// heads before it.
+    #[allow(clippy::too_many_arguments)]
+    fn per_head_attention(tape: &mut Tape, q: Var, k: Var, v: Var, heads: usize, scale: f32, bias: Option<Var>) -> Var {
+        let head_dim = tape.shape(q).1 / heads;
+        let mut merged: Option<Var> = None;
+        for h in 0..heads {
+            let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
+            let qh = tape.slice_cols(q, lo, hi);
+            let kh = tape.slice_cols(k, lo, hi);
+            let vh = tape.slice_cols(v, lo, hi);
+            let scores = tape.matmul_transb(qh, kh);
+            let scores = tape.scale(scores, scale);
+            let scores = match bias {
+                Some(b) => tape.add(scores, b),
+                None => scores,
+            };
+            let attn = tape.softmax_rows(scores);
+            let out_h = tape.matmul(attn, vh);
+            merged = Some(match merged {
+                Some(acc) => tape.hcat(acc, out_h),
+                None => out_h,
+            });
+        }
+        merged.expect("at least one head")
+    }
+
+    /// Records on a tape like the tape itself, except attention, which
+    /// it records as [`per_head_attention`].
+    struct PerHead<'t>(&'t mut Tape);
+
+    impl Recorder for PerHead<'_> {
+        type V = Var;
+        type Idx<'a> = &'a [usize];
+        type Spd<'a> = &'a [u8];
+        fn shape(&self, x: Var) -> (usize, usize) {
+            self.0.shape(x)
+        }
+        fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+            self.0.param(store, id)
+        }
+        fn linear(&mut self, store: &ParamStore, w: ParamId, b: Option<ParamId>, x: Var) -> Var {
+            self.0.linear(store, w, b, x)
+        }
+        fn layer_norm(&mut self, store: &ParamStore, gamma: ParamId, beta: ParamId, x: Var) -> Var {
+            self.0.layer_norm(store, gamma, beta, x)
+        }
+        fn activation(&mut self, act: Activation, x: Var) -> Var {
+            self.0.activation(act, x)
+        }
+        fn add(&mut self, a: Var, b: Var) -> Var {
+            self.0.add(a, b)
+        }
+        fn mul(&mut self, a: Var, b: Var) -> Var {
+            self.0.mul(a, b)
+        }
+        fn mul_col_broadcast(&mut self, x: Var, col: Var) -> Var {
+            self.0.mul_col_broadcast(x, col)
+        }
+        fn matmul(&mut self, a: Var, b: Var) -> Var {
+            self.0.matmul(a, b)
+        }
+        fn softmax_rows(&mut self, x: Var) -> Var {
+            self.0.softmax_rows(x)
+        }
+        fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize, scale: f32, bias: Option<Var>) -> Var {
+            per_head_attention(self.0, q, k, v, heads, scale, bias)
+        }
+        fn mean_rows(&mut self, x: Var) -> Var {
+            self.0.mean_rows(x)
+        }
+        fn hcat(&mut self, a: Var, b: Var) -> Var {
+            self.0.hcat(a, b)
+        }
+        fn gather_rows(&mut self, x: Var, idx: &[usize]) -> Var {
+            self.0.gather_rows(x, idx)
+        }
+        fn scatter_add_rows(&mut self, x: Var, idx: &[usize], out_rows: usize) -> Var {
+            self.0.scatter_add_rows(x, idx, out_rows)
+        }
+        fn spd_bias(&mut self, store: &ParamStore, thetas: &[ParamId], spd: &[u8]) -> Var {
+            self.0.spd_bias(store, thetas, spd)
+        }
+    }
+
+    /// Two SPD-biased self-attention layers sharing one bias, each with
+    /// a residual add, then cross-attention from `seeds` query rows over
+    /// the result (PMA's shape, n != m).
+    struct AttentionStack {
+        layers: [MultiHeadAttention; 2],
+        pma: MultiHeadAttention,
+        seeds: ParamId,
+        thetas: Vec<ParamId>,
+    }
+
+    impl AttentionStack {
+        fn new(store: &mut ParamStore, dim: usize, heads: usize, seeds: usize, rng: &mut SeededRng) -> Self {
+            let mut mha = |name: &str, store: &mut ParamStore| MultiHeadAttention::new(store, name, dim, heads, rng);
+            let layers = [mha("l0", store), mha("l1", store)];
+            let pma = mha("pma", store);
+            let seeds = store.register("seeds", Matrix::randn(seeds, dim, 1.0, rng));
+            let thetas = (0..8)
+                .map(|b| store.register(format!("theta{b}"), Matrix::from_vec(1, 1, vec![rng.uniform(-1.0, 1.0)])))
+                .collect();
+            Self { layers, pma, seeds, thetas }
+        }
+
+        fn forward<R: Recorder<V = Var>>(&self, r: &mut R, store: &ParamStore, x: Var, bias: Var) -> Var {
+            let mut h = x;
+            for layer in &self.layers {
+                let a = layer.forward(r, store, h, h, Some(bias));
+                h = r.add(h, a);
+            }
+            let s = r.param(store, self.seeds);
+            self.pma.forward(r, store, s, h, None)
+        }
+
+        /// The output's bits and every parameter gradient of
+        /// `sum(output * w)`, attention fused or per head.
+        fn grads(&self, store: &ParamStore, x: &Matrix, spd: &[u8], w: &Matrix, fused: bool) -> (Vec<u32>, GradBuffer) {
+            let mut tape = Tape::new();
+            let xv = tape.constant_ref(x);
+            let bias = tape.spd_bias(store, &self.thetas, spd);
+            let y = if fused {
+                self.forward(&mut tape, store, xv, bias)
+            } else {
+                self.forward(&mut PerHead(&mut tape), store, xv, bias)
+            };
+            let wv = tape.constant_ref(w);
+            let weighted = tape.mul(y, wv);
+            let loss = tape.sum_all(weighted);
+            let bits = tape.value(y).data().iter().map(|v| v.to_bits()).collect();
+            (bits, grads_of(&tape, loss, store))
+        }
+    }
+
+    #[test]
+    fn fused_attention_gradients_match_the_per_head_ops_bitwise() {
+        let mut rng = SeededRng::new(29);
+        // (head_dim, heads, nodes): head dims 4, 8 (the served width,
+        // hidden 32) and 9; 61 nodes put several products past
+        // `use_blocked`, 7 keeps them all streaming.
+        for (head_dim, heads, n) in [(4, 2, 7), (8, 4, 61), (9, 3, 13), (4, 2, 61), (8, 4, 7)] {
+            let dim = head_dim * heads;
+            let mut store = ParamStore::new();
+            let stack = AttentionStack::new(&mut store, dim, heads, 3, &mut rng);
+            let x = Matrix::randn(n, dim, 1.0, &mut rng);
+            let spd: Vec<u8> = (0..n * n).map(|_| rng.index(8) as u8).collect();
+            let w = Matrix::randn(3, dim, 1.0, &mut rng);
+            let (got_out, got) = stack.grads(&store, &x, &spd, &w, true);
+            let (want_out, want) = stack.grads(&store, &x, &spd, &w, false);
+            let what = format!("head_dim {head_dim}, {heads} heads, {n} nodes");
+            assert_eq!(got_out, want_out, "{what}: output");
+            for id in store.ids() {
+                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.grad(id)), bits(want.grad(id)), "{what}: {} gradient", store.name(id));
+            }
+        }
+    }
+
     #[test]
     fn gelu_matches_reference_points() {
         // GELU(0)=0, GELU is odd-ish around 0, GELU(large) ~ x.
@@ -1485,7 +1702,8 @@ mod tests {
             let ln = tape.layer_norm_rows(act);
             let gathered = tape.gather_rows(ln, &idx);
             let bias = tape.spd_bias(&store, &[t0, t1], &spd);
-            let biased = tape.add(gathered, bias);
+            let attended = tape.attention(gathered, gathered, gathered, 2, 0.5, Some(bias));
+            let biased = tape.add(attended, bias);
             let sm = tape.softmax_rows(biased);
             let loss = tape.mean_all(sm);
             buf.zero();

@@ -17,16 +17,14 @@
 //! [`ProgramBuilder`] implements `occu-nn`'s [`Recorder`], the trait
 //! every layer's forward pass is written against: recording a model's
 //! forward pass on a builder emits one instruction per recorder call,
-//! in the same order. Most calls are one op on the tape too; attention
-//! is one [`Instr::Attention`] where the tape records a slice, score,
-//! scale, bias, softmax and value product per head. This crate knows no
-//! model; `occu-core`'s `DnnOccu::compile_plan_with` records one. Each
-//! instruction's executor arm calls the same public `occu-tensor`
-//! kernels (`matmul_into`, `softmax_rows_into`, `layernorm_rows_into`,
-//! `gelu_into`, ...) as the tape's op, with operands in the same
-//! order, and the fused attention kernel keeps the tape's summation
-//! order, so a compiled plan is bitwise-equal to the interpreted
-//! forward pass on every ISA rung, including `OCCU_FORCE_SCALAR=1`.
+//! in the same order, and each call is one op on the tape too. This
+//! crate knows no model; `occu-core`'s `DnnOccu::compile_plan_with`
+//! records one. Each instruction's executor arm calls the same public
+//! `occu-tensor` kernels (`matmul_into`, `softmax_rows_into`,
+//! `layernorm_rows_into`, `gelu_into`, `attention_into`, ...) as the
+//! tape's op, with operands in the same order, so a compiled plan is
+//! bitwise-equal to the interpreted forward pass on every ISA rung,
+//! including `OCCU_FORCE_SCALAR=1`.
 //!
 //! The crate depends on `occu-tensor` (kernels) and `occu-nn` (the
 //! [`Recorder`] trait, parameter store and [`Activation`] selector).
@@ -185,9 +183,9 @@ pub enum Instr {
     /// Multi-head attention through `occu-tensor`'s fused kernel
     /// ([`occu_tensor::attention_into`]): per head, scores `q k^T`
     /// scaled by `scale`, plus `bias`, row softmax, times `v`, each
-    /// head's columns written straight into `dst`. One instruction for
-    /// the op sequence the tape records ([`Recorder::attention`]), with
-    /// the same bits; the kernel's scratch comes from the executor's
+    /// head's columns written straight into `dst`. The kernel the
+    /// tape's attention node runs ([`Recorder::attention`]), without
+    /// keeping the softmax rows; its scratch comes from the executor's
     /// arena.
     Attention {
         /// `n x dim` queries.
@@ -939,7 +937,7 @@ impl Executor {
                 let bv = bias.map(|b| resolve(regs, p, inp, b));
                 let (r, c) = p.reg_shapes[*dst as usize];
                 let mut out = self.arena.take_zeroed(r, c);
-                attention_into(qv, kv, vv, *heads, *scale, bv, &mut out, &mut self.arena);
+                attention_into(qv, kv, vv, *heads, *scale, bv, &mut out, None, &mut self.arena);
                 out
             }
             Instr::Add { a, b, dst } => {

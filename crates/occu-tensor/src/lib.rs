@@ -34,7 +34,7 @@ mod quant;
 mod random;
 mod simd;
 
-pub use attention::attention_into;
+pub use attention::{attention_backward_into, attention_into};
 pub use arena::{
     arena_total_allocated_bytes, arena_total_fresh_allocs, arena_total_takes, ScratchArena,
 };

@@ -622,6 +622,78 @@ pub(crate) mod x86 {
         }
     }
 
+    /// `acc[j][..dp] += sum over r < rows of p[r][j] * x[r][..dp]` for
+    /// every key `j < m`, bitwise `attention::acc_transposed_scalar`:
+    /// each lane adds the rows in ascending order, a separate mul then
+    /// add per step. `p` rows are `ldp` apart, `x` is `rows x dp` and
+    /// `acc` is `m x dp` (`dp` a multiple of eight). Four keys run in
+    /// flight so the add latency overlaps; leftover keys go one at a
+    /// time.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn attn_acc_transposed_avx2(
+        p: &[f32],
+        ldp: usize,
+        x: &[f32],
+        dp: usize,
+        rows: usize,
+        m: usize,
+        acc: &mut [f32],
+    ) {
+        assert!(dp.is_multiple_of(LANES) && rows * dp <= x.len() && m * dp <= acc.len());
+        assert!(rows == 0 || (rows - 1) * ldp + m <= p.len());
+        let mut j = 0;
+        while j + KEY_GROUP <= m {
+            acc_keys::<KEY_GROUP>(p, ldp, x, dp, rows, j, acc);
+            j += KEY_GROUP;
+        }
+        while j < m {
+            acc_keys::<1>(p, ldp, x, dp, rows, j, acc);
+            j += 1;
+        }
+    }
+
+    /// [`attn_acc_transposed_avx2`] for keys `j..j + K`, one
+    /// accumulator register per key.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2, and the caller has checked the
+    /// bounds of keys `j..j + K`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn acc_keys<const K: usize>(
+        p: &[f32],
+        ldp: usize,
+        x: &[f32],
+        dp: usize,
+        rows: usize,
+        j: usize,
+        acc: &mut [f32],
+    ) {
+        let pp = p.as_ptr().add(j);
+        let xp = x.as_ptr();
+        let ap = acc.as_mut_ptr().add(j * dp);
+        for cc in (0..dp).step_by(LANES) {
+            let mut a = [_mm256_setzero_ps(); K];
+            for (key, a) in a.iter_mut().enumerate() {
+                *a = _mm256_loadu_ps(ap.add(key * dp + cc));
+            }
+            for r in 0..rows {
+                let xv = _mm256_loadu_ps(xp.add(r * dp + cc));
+                let pr = pp.add(r * ldp);
+                for (key, a) in a.iter_mut().enumerate() {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(_mm256_set1_ps(*pr.add(key)), xv));
+                }
+            }
+            for (key, a) in a.iter().enumerate() {
+                _mm256_storeu_ps(ap.add(key * dp + cc), *a);
+            }
+        }
+    }
+
     /// `out[i] = (x[i] - mean) * inv_std` — the layernorm normalize
     /// pass, sub-then-mul per lane like the scalar loop.
     ///
