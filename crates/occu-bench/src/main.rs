@@ -6,8 +6,7 @@
 //! ```
 //!
 //! Subcommands: `fig2 fig4 fig5 fig45 fig6 fig7 table4 table5 table6
-//! ablation aggr device-gen perf kernels plan quant obs-overhead
-//! loadgen fleet all`.
+//! ablation aggr device-gen perf kernels plan quant obs-overhead all`.
 //! `--quick` shrinks
 //! dataset sizes and epochs for smoke runs; `--device <name>` restricts
 //! the multi-device experiments to one GPU (useful for piecewise
@@ -19,11 +18,16 @@
 //! reports/kernel_perf.json);
 //! `obs-overhead` measures the cost of enabling observability (both
 //! the training span/metric layer and the serving-path request
-//! telemetry, via back-to-back loadgen passes with telemetry off and
-//! on) and fails when either exceeds its budget; `loadgen` accepts
-//! `--telemetry on|off` to toggle the server's request telemetry. All
+//! telemetry, via back-to-back in-process serve passes with telemetry
+//! off and on) and fails when either exceeds its budget. All
 //! subcommands accept `--trace-out <spans.jsonl>`,
 //! `--metrics-out <metrics.json>`, and `--log-level <level>`.
+//!
+//! The serving layer's correctness checks (hot reload under
+//! concurrent traffic, stale-plan detection, tenant throttling, the
+//! `/metrics` stage telemetry) are cargo tests in
+//! `occu-serve/tests/serve_integration.rs`; its cost per cold
+//! prediction is perfbench's `serve_cold` workload.
 //!
 //! ## Exit codes
 //!
@@ -31,15 +35,13 @@
 //! Pipeline failures print one `error:` line
 //! and exit with the `OccuError` code for the failure class: 3 io,
 //! 4 parse, 5 shape, 6 config, 7 data. `obs-overhead` exits 1 when
-//! the measured overhead blows its budget; `loadgen` exits 1 when any
-//! request errored or was dropped, or (full-size local runs) when
-//! throughput regresses >5% below the recorded baseline, the
-//! per-stage percentile breakdown fails to account for the end-to-end
-//! median within 10%, or `/debug/tracez` yields no traces; `kernels`
+//! the measured overhead blows its budget or (full runs) when the
+//! per-stage serve percentiles fail to account for the end-to-end
+//! median within 10%; `kernels`
 //! exits 1 when the blocked GEMM regresses against the naive oracle;
 //! `plan` exits 1 when any zoo model's compiled plan diverges bitwise
 //! from the tape interpreter, or (full runs) when the plan executor's
-//! aggregate throughput falls below its speedup gate; `quant` exits 1
+//! median-pass throughput falls below its speedup gate; `quant` exits 1
 //! when any zoo model's int8 absolute error drifts more than 0.5
 //! occupancy points from f32, when (full SIMD runs) the aggregate
 //! int8 speedup falls
@@ -292,193 +294,6 @@ fn run_perf(quick: bool, args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reference throughput for the full-size local loadgen run (PR-6
-/// baseline, this container). The non-quick gate fails when a run
-/// regresses more than 5% below it.
-const SERVE_BASELINE_RPS: f64 = 14_943.0;
-
-fn run_loadgen(quick: bool, args: &[String]) -> Result<(), CliError> {
-    let out = flag_value(args, "--out")?.unwrap_or("reports/serve_perf.json");
-    occu_bench::validate_out_path(out)?;
-    let mut cfg = occu_bench::LoadgenConfig {
-        url: flag_value(args, "--url")?.map(String::from),
-        ..occu_bench::LoadgenConfig::default()
-    };
-    if quick {
-        cfg.requests = 4_000;
-    }
-    if let Some(n) = flag_value(args, "--requests")? {
-        cfg.requests = n
-            .parse()
-            .map_err(|_| format!("--requests: '{n}' is not an integer"))?;
-    }
-    if let Some(n) = flag_value(args, "--concurrency")? {
-        cfg.concurrency = n
-            .parse()
-            .map_err(|_| format!("--concurrency: '{n}' is not an integer"))?;
-    }
-    if let Some(v) = flag_value(args, "--telemetry")? {
-        cfg.telemetry = match v {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--telemetry expects on|off, got '{other}'").into()),
-        };
-    }
-    let rep = occu_bench::run_loadgen(&cfg)?;
-    print!("{}", occu_bench::render_loadgen(&rep));
-    let json = serde_json::to_string_pretty(&rep).expect("serve report serializes");
-    write_report(out, &json)?;
-    let mut failures: Vec<String> = Vec::new();
-    if rep.errors > 0 || rep.dropped > 0 {
-        failures.push(format!(
-            "{} errors, {} dropped requests",
-            rep.errors, rep.dropped
-        ));
-    }
-    // Gates below need the full-size local run: remote targets have
-    // their own baseline, and quick runs are too noisy to gate.
-    let gated = !quick && cfg.url.is_none();
-    if gated && rep.telemetry {
-        // The stage breakdown must account for the end-to-end median
-        // (within 10%): every stage recorded, nothing double counted.
-        if rep.attribution_ratio <= 0.0 {
-            failures.push("stage percentiles were not scraped from /metrics".to_string());
-        } else if (rep.attribution_ratio - 1.0).abs() > 0.10 {
-            failures.push(format!(
-                "stage attribution {:.3} outside 1.0 +/- 0.10 (stage-sum p50 {:.1} us vs total p50 {:.1} us)",
-                rep.attribution_ratio, rep.stage_sum_p50_us, rep.server_total.p50_us
-            ));
-        }
-        if rep.slowest.is_empty() {
-            failures.push("no traces scraped from /debug/tracez".to_string());
-        }
-    }
-    if gated && rep.throughput_rps < SERVE_BASELINE_RPS * 0.95 {
-        failures.push(format!(
-            "throughput {:.0} pred/s regressed >5% below the {:.0} baseline",
-            rep.throughput_rps, SERVE_BASELINE_RPS
-        ));
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            occu_obs::error!("loadgen: {f}");
-        }
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
-/// `repro fleet` — the multi-tenant smoke gate: >=2 resident models
-/// under Zipfian traffic through a concurrency ladder with one
-/// rolling per-model reload per rung, a post-reload bitwise
-/// stale-plan check, and a throttle phase proving per-tenant
-/// admission isolation (429 + Retry-After on the limited tenant
-/// only). The full run additionally gates top-rung aggregate
-/// throughput within 10% of the single-model loadgen baseline.
-fn run_fleet(quick: bool, args: &[String]) -> Result<(), CliError> {
-    let out = flag_value(args, "--out")?.unwrap_or("reports/fleet_perf.json");
-    occu_bench::validate_out_path(out)?;
-    let mut cfg = occu_bench::FleetgenConfig {
-        baseline_rps: SERVE_BASELINE_RPS,
-        ..occu_bench::FleetgenConfig::default()
-    };
-    if quick {
-        cfg.base_requests = 250;
-        cfg.rungs = vec![2, 4];
-        cfg.throttle_requests = 200;
-    }
-    if let Some(n) = flag_value(args, "--requests")? {
-        cfg.base_requests = n
-            .parse()
-            .map_err(|_| format!("--requests: '{n}' is not an integer"))?;
-    }
-    if let Some(list) = flag_value(args, "--rungs")? {
-        cfg.rungs = list
-            .split(',')
-            .map(|r| {
-                r.trim()
-                    .parse()
-                    .map_err(|_| format!("--rungs: '{r}' is not an integer"))
-            })
-            .collect::<Result<_, String>>()?;
-    }
-    if let Some(s) = flag_value(args, "--zipf")? {
-        cfg.zipf_exponent = s
-            .parse()
-            .map_err(|_| format!("--zipf: '{s}' is not a number"))?;
-    }
-    // `--seed` replays a recorded run's traffic pattern: the report
-    // stores the base seed, and every client thread derives its own
-    // stream from it deterministically.
-    if let Some(s) = flag_value(args, "--seed")? {
-        cfg.seed = s
-            .parse()
-            .map_err(|_| format!("--seed: '{s}' is not an unsigned integer"))?;
-    }
-    let rep = occu_bench::run_fleetgen(&cfg)?;
-    print!("{}", occu_bench::render_fleet(&rep));
-    let json = serde_json::to_string_pretty(&rep).expect("fleet report serializes");
-    write_report(out, &json)?;
-    let mut failures: Vec<String> = Vec::new();
-    for r in &rep.rungs {
-        if r.errors > 0 || r.dropped > 0 || r.throttled > 0 {
-            failures.push(format!(
-                "rung c={}: {} errors, {} dropped, {} throttled (ladder tenants are unlimited)",
-                r.concurrency, r.errors, r.dropped, r.throttled
-            ));
-        }
-        if !r.reload_ok {
-            failures.push(format!("rung c={}: reload of '{}' failed", r.concurrency, r.reload_tenant));
-        }
-        if !r.stale_check_ok {
-            failures.push(format!(
-                "rung c={}: '{}' served predictions not matching the reloaded weights",
-                r.concurrency, r.reload_tenant
-            ));
-        }
-    }
-    if rep.stale_serves > 0 {
-        failures.push(format!("{} stale serves after reloads", rep.stale_serves));
-    }
-    if rep.throttle.limited_throttled == 0 {
-        failures.push(format!(
-            "limited tenant '{}' was never throttled",
-            rep.throttle.limited_tenant
-        ));
-    }
-    if !rep.throttle.retry_after_present {
-        failures.push("a 429 response was missing its Retry-After header".to_string());
-    }
-    if rep.throttle.unlimited_throttled > 0 {
-        failures.push(format!(
-            "unlimited tenant '{}' collected {} x 429 — admission is not isolated",
-            rep.throttle.unlimited_tenant, rep.throttle.unlimited_throttled
-        ));
-    }
-    if !rep.statusz_models_ok {
-        failures.push("/debug/statusz does not list every resident model".to_string());
-    }
-    // Quick ladders are too short to gate throughput; the full run
-    // must hold within 10% of the single-model baseline at the
-    // shared concurrency-8 rung.
-    if !quick
-        && rep.rungs.last().is_some_and(|r| r.concurrency == 8)
-        && rep.aggregate_rps < SERVE_BASELINE_RPS * 0.90
-    {
-        failures.push(format!(
-            "aggregate {:.0} pred/s fell >10% below the {:.0} single-model baseline",
-            rep.aggregate_rps, SERVE_BASELINE_RPS
-        ));
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            occu_obs::error!("fleet: {f}");
-        }
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
 /// `repro plan` — the compiled-plan gate: bitwise plan-vs-interpreter
 /// exactness on every zoo model plus a direct model-level throughput
 /// comparison. Quick runs still enforce exactness but treat the
@@ -486,7 +301,7 @@ fn run_fleet(quick: bool, args: &[String]) -> Result<(), CliError> {
 fn run_plan(quick: bool, args: &[String]) -> Result<(), CliError> {
     let out = flag_value(args, "--out")?.unwrap_or("reports/plan_perf.json");
     occu_bench::validate_out_path(out)?;
-    let rep = occu_bench::plan_study(quick, 54);
+    let rep = occu_bench::plan_study(54);
     print!("{}", occu_bench::render_plan(&rep));
     let json = serde_json::to_string_pretty(&rep).expect("plan report serializes");
     write_report(out, &json)?;
@@ -563,8 +378,8 @@ fn run_obs_overhead(quick: bool, args: &[String]) -> Result<(), CliError> {
     let out = flag_value(args, "--out")?.unwrap_or("reports/obs_overhead.json");
     occu_bench::validate_out_path(out)?;
     let mut rep = occu_bench::obs_overhead_study(scale, reps, 52);
-    // Serving-path telemetry overhead: the same loadgen run with
-    // request telemetry off and on, best-of-N per mode.
+    // Serving-path telemetry overhead: the same in-process serve pass
+    // with request telemetry off and on, best-of-N per mode.
     let (serve_requests, serve_conc, serve_reps) =
         if quick { (2_000, 4, 2) } else { (20_000, 8, 3) };
     occu_bench::serve_overhead_study(&mut rep, serve_requests, serve_conc, serve_reps)?;
@@ -588,6 +403,18 @@ fn run_obs_overhead(quick: bool, args: &[String]) -> Result<(), CliError> {
         );
         // Quick passes are too short to gate on a 5% margin; the
         // full run enforces it.
+        over_budget |= !quick;
+    }
+    if !rep.serve_attribution_ok() {
+        occu_obs::error!(
+            "obs-overhead: stage-sum p50 {:.1} us vs total p50 {:.1} us (ratio {:.3}) is outside 1 +/- {:.2}",
+            rep.serve_stage_sum_p50_us,
+            rep.serve_total_p50_us,
+            rep.serve_attribution_ratio(),
+            occu_bench::SERVE_ATTRIBUTION_TOLERANCE
+        );
+        // Like the budget, the 10% attribution bound needs the full
+        // run's sample count.
         over_budget |= !quick;
     }
     if over_budget {
@@ -649,10 +476,8 @@ fn finish_obs(trace: Option<String>, metrics: Option<String>) -> Result<(), Occu
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: repro [fig2|fig4|fig5|fig45|fig6|fig7|table4|table5|table6|ablation|aggr|device-gen|perf|kernels|plan|quant|obs-overhead|loadgen|fleet|all] [--quick] [--device <name-or-json>] [--out perf_report.json]");
+    eprintln!("usage: repro [fig2|fig4|fig5|fig45|fig6|fig7|table4|table5|table6|ablation|aggr|device-gen|perf|kernels|plan|quant|obs-overhead|all] [--quick] [--device <name-or-json>] [--out perf_report.json]");
     eprintln!("observability: --trace-out spans.jsonl --metrics-out metrics.json --log-level info");
-    eprintln!("loadgen: --url <host:port> --requests <n> --concurrency <n> --telemetry on|off --out reports/serve_perf.json");
-    eprintln!("fleet: --requests <per-conn> --rungs 2,4,8 --zipf <s> --seed <u64> --out reports/fleet_perf.json  (multi-tenant ladder + reload + throttle gate)");
     eprintln!("plan: --out reports/plan_perf.json  (bitwise plan-vs-interpreter gate + throughput gate)");
     eprintln!("quant: --out reports/quant_perf.json --compare <prior.json>  (int8 accuracy-drift + speedup gate; --compare checks cross-ISA bitwise stability)");
     std::process::exit(2);
@@ -678,8 +503,6 @@ fn try_main(cmd: &str, quick: bool, args: &[String]) -> Result<(), CliError> {
         "plan" => run_plan(quick, args)?,
         "quant" => run_quant(quick, args)?,
         "obs-overhead" => run_obs_overhead(quick, args)?,
-        "loadgen" => run_loadgen(quick, args)?,
-        "fleet" => run_fleet(quick, args)?,
         "all" => {
             run_fig2();
             run_fig6();
@@ -711,13 +534,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--device",
     "--out",
     "--workers",
-    "--url",
-    "--requests",
-    "--concurrency",
-    "--telemetry",
-    "--rungs",
-    "--zipf",
-    "--seed",
     "--compare",
     "--trace-out",
     "--metrics-out",

@@ -1,4 +1,5 @@
-//! Throughput measurement for the parallel training pipeline.
+//! Throughput measurement for the parallel training pipeline, and the
+//! cost of observability.
 //!
 //! `repro perf` times `Trainer::fit` at several worker counts and
 //! `predict_all` on the full pool (the median of repeated warm passes),
@@ -7,13 +8,24 @@
 //! training is bit-deterministic in the worker count, every row of the
 //! table reaches the *same* parameters — the report isolates
 //! wall-clock effects from model quality.
+//!
+//! `repro obs-overhead` times the same fit with span/metric recording
+//! off and on, and an in-process server with request telemetry
+//! (`ServeConfig::record`) off and on under a small keep-alive client
+//! driver; the telemetry-on pass must also attribute its end-to-end
+//! median to the per-stage medians on `/metrics`.
 
 use occu_core::dataset::{Dataset, SEEN_MODELS};
 use occu_core::experiments::ExperimentScale;
 use occu_core::gnn::{DnnOccu, DnnOccuConfig};
 use occu_core::train::{OccuPredictor, Parallelism, TrainConfig, Trainer};
+use occu_error::{IoContext, OccuError};
 use occu_gpusim::DeviceSpec;
+use occu_serve::{ModelRegistry, ServeConfig, Server};
 use serde::{Deserialize, Serialize};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One training run at a fixed worker count.
@@ -184,14 +196,14 @@ pub struct ObsOverheadReport {
     pub metrics_entries: usize,
     /// Largest acceptable `overhead_factor`.
     pub budget_factor: f64,
-    /// Requests per loadgen pass in the serve-telemetry section
+    /// Requests per serve pass in the serve-telemetry section
     /// (0 = section skipped).
     #[serde(default)]
     pub serve_requests: usize,
-    /// Best loadgen throughput with request telemetry off, pred/s.
+    /// Best serve-pass throughput with request telemetry off, pred/s.
     #[serde(default)]
     pub serve_baseline_rps: f64,
-    /// Best loadgen throughput with request telemetry on, pred/s.
+    /// Best serve-pass throughput with request telemetry on, pred/s.
     #[serde(default)]
     pub serve_instrumented_rps: f64,
     /// `serve_baseline_rps / serve_instrumented_rps` — the serving
@@ -202,6 +214,14 @@ pub struct ObsOverheadReport {
     /// must cost under 5% of serving throughput).
     #[serde(default)]
     pub serve_budget_factor: f64,
+    /// Sum of the per-stage p50s (`serve_stage_us`) the best
+    /// telemetry-on pass left on `/metrics`, microseconds.
+    #[serde(default)]
+    pub serve_stage_sum_p50_us: f64,
+    /// End-to-end p50 (`serve_request_total_us`) of the same pass,
+    /// microseconds.
+    #[serde(default)]
+    pub serve_total_p50_us: f64,
 }
 
 impl ObsOverheadReport {
@@ -215,6 +235,21 @@ impl ObsOverheadReport {
     pub fn serve_within_budget(&self) -> bool {
         self.serve_requests == 0 || self.serve_overhead_factor <= self.serve_budget_factor
     }
+
+    /// How much of the end-to-end median the stage breakdown accounts
+    /// for: `serve_stage_sum_p50_us / serve_total_p50_us`.
+    pub fn serve_attribution_ratio(&self) -> f64 {
+        self.serve_stage_sum_p50_us / self.serve_total_p50_us
+    }
+
+    /// True when the stage p50s sum to within
+    /// [`SERVE_ATTRIBUTION_TOLERANCE`] of the end-to-end p50: every
+    /// stage recorded, nothing counted twice (vacuously true when the
+    /// serve section was skipped).
+    pub fn serve_attribution_ok(&self) -> bool {
+        self.serve_requests == 0
+            || (self.serve_attribution_ratio() - 1.0).abs() <= SERVE_ATTRIBUTION_TOLERANCE
+    }
 }
 
 /// Acceptable serving slowdown with request telemetry on: the whole
@@ -222,29 +257,142 @@ impl ObsOverheadReport {
 /// effectively free, so the budget is 5%.
 pub const SERVE_OVERHEAD_BUDGET: f64 = 1.05;
 
+/// Largest gap, as a fraction of the end-to-end p50, between that p50
+/// and the sum of the stage p50s.
+pub const SERVE_ATTRIBUTION_TOLERANCE: f64 = 0.10;
+
+/// The serve passes' repeating working set: 8 named specs, so after
+/// one warm-up round every request is a prediction-cache hit and a
+/// pass times the request path (parse, lookup, telemetry, write), the
+/// part request telemetry instruments.
+fn serve_specs() -> Vec<String> {
+    let mut specs = Vec::new();
+    for model in ["LeNet", "AlexNet"] {
+        for batch in [1, 2] {
+            for device in ["a100", "v100"] {
+                specs.push(format!(r#"{{"model": "{model}", "batch": {batch}, "device": "{device}"}}"#));
+            }
+        }
+    }
+    specs
+}
+
+/// Opens one keep-alive connection to the server at `addr`.
+fn connect(addr: SocketAddr) -> Result<BufReader<TcpStream>, OccuError> {
+    let stream = TcpStream::connect(addr).io_context(format!("connect {addr}"))?;
+    stream.set_nodelay(true).io_context("set_nodelay")?;
+    Ok(BufReader::new(stream))
+}
+
+/// One request on a keep-alive connection; fails unless it answers
+/// 200, and returns the body.
+fn http_ok(conn: &mut BufReader<TcpStream>, method: &str, path: &str, body: &str) -> Result<String, OccuError> {
+    let mut exchange = || -> std::io::Result<(String, String)> {
+        let request = format!("{method} {path} HTTP/1.1\r\nHost: repro\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        conn.get_mut().write_all(request.as_bytes())?;
+        let mut line = String::new();
+        conn.read_line(&mut line)?;
+        let status = line.split_whitespace().nth(1).unwrap_or_default().to_string();
+        let mut len = 0;
+        loop {
+            line.clear();
+            conn.read_line(&mut line)?;
+            match line.trim_end().split_once(':') {
+                Some((name, value)) if name.eq_ignore_ascii_case("content-length") => {
+                    len = value.trim().parse().unwrap_or(0);
+                }
+                Some(_) => {}
+                None => break,
+            }
+        }
+        let mut answer = vec![0; len];
+        conn.read_exact(&mut answer)?;
+        Ok((status, String::from_utf8_lossy(&answer).into_owned()))
+    };
+    let (status, answer) = exchange().map_err(|e| OccuError::io(format!("{method} {path}"), e))?;
+    if status != "200" {
+        return Err(OccuError::data(format!("{method} {path} {body}"), format!("answered {status}: {answer}")));
+    }
+    Ok(answer)
+}
+
+/// One serve pass: boots an in-process server (`record` switches its
+/// request telemetry), warms the working set, then `concurrency`
+/// keep-alive clients send `requests` predictions between them.
+/// Returns the pass's predictions per second and, from the
+/// `quantile="0.5"` rows of `/metrics`, the sum of the stage p50s and
+/// the end-to-end p50 (microseconds).
+fn serve_pass(requests: usize, concurrency: usize, record: bool) -> Result<(f64, f64, f64), OccuError> {
+    let model = DnnOccu::new(DnnOccuConfig::fast(), 17);
+    let registry = Arc::new(ModelRegistry::from_model(model, "obs-overhead.json"));
+    let cfg = ServeConfig { workers: concurrency.clamp(2, 16), record, ..ServeConfig::default() };
+    let server = Server::start(cfg, registry)?;
+    let addr = server.local_addr();
+    let specs = serve_specs();
+    // A worker serves one connection until it closes, so the warm-up
+    // connection is dropped before the clients connect.
+    let mut warm = connect(addr)?;
+    for spec in &specs {
+        http_ok(&mut warm, "POST", "/predict", spec)?;
+    }
+    drop(warm);
+    let per_client = requests / concurrency;
+    let started = Instant::now();
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..concurrency)
+            .map(|c| {
+                let specs = &specs;
+                s.spawn(move || -> Result<(), OccuError> {
+                    let mut conn = connect(addr)?;
+                    for i in 0..per_client {
+                        http_ok(&mut conn, "POST", "/predict", &specs[(c + i) % specs.len()])?;
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        clients.into_iter().try_for_each(|h| {
+            h.join().map_err(|_| OccuError::data("serve pass", "client thread panicked"))?
+        })
+    })?;
+    let rps = (per_client * concurrency) as f64 / started.elapsed().as_secs_f64();
+    let metrics = http_ok(&mut connect(addr)?, "GET", "/metrics", "")?;
+    server.shutdown();
+    let (mut stage_sum_us, mut total_us) = (0.0, 0.0);
+    for (series, value) in metrics.lines().filter_map(|l| l.rsplit_once(' ')) {
+        let value: f64 = value.parse().unwrap_or(f64::NAN);
+        if !series.ends_with(r#"quantile="0.5"}"#) {
+            continue;
+        }
+        if series.starts_with("serve_stage_us{") {
+            stage_sum_us += value;
+        } else if series.starts_with("serve_request_total_us{") {
+            total_us = value;
+        }
+    }
+    Ok((rps, stage_sum_us, total_us))
+}
+
 /// Measures serving-path telemetry overhead: the same in-process
-/// loadgen run with request telemetry off and on, interleaved
-/// best-of-`reps` per mode, written into `rep`'s serve section.
+/// serve pass with request telemetry off and on, interleaved
+/// best-of-`reps` per mode, written into `rep`'s serve section with
+/// the best telemetry-on pass's stage attribution.
 pub fn serve_overhead_study(
     rep: &mut ObsOverheadReport,
     requests: usize,
     concurrency: usize,
     reps: usize,
-) -> Result<(), occu_error::OccuError> {
-    let run = |telemetry: bool| -> Result<f64, occu_error::OccuError> {
-        let cfg = crate::LoadgenConfig {
-            url: None,
-            requests,
-            concurrency,
-            telemetry,
-        };
-        Ok(crate::run_loadgen(&cfg)?.throughput_rps)
-    };
+) -> Result<(), OccuError> {
     let mut baseline_rps = 0.0f64;
     let mut instrumented_rps = 0.0f64;
     for _ in 0..reps.max(1) {
-        baseline_rps = baseline_rps.max(run(false)?);
-        instrumented_rps = instrumented_rps.max(run(true)?);
+        baseline_rps = baseline_rps.max(serve_pass(requests, concurrency, false)?.0);
+        let (rps, stage_sum_us, total_us) = serve_pass(requests, concurrency, true)?;
+        if rps > instrumented_rps {
+            instrumented_rps = rps;
+            rep.serve_stage_sum_p50_us = stage_sum_us;
+            rep.serve_total_p50_us = total_us;
+        }
     }
     rep.serve_requests = requests;
     rep.serve_baseline_rps = baseline_rps;
@@ -329,6 +477,8 @@ pub fn obs_overhead_study(scale: ExperimentScale, reps: usize, seed: u64) -> Obs
         serve_instrumented_rps: 0.0,
         serve_overhead_factor: 0.0,
         serve_budget_factor: SERVE_OVERHEAD_BUDGET,
+        serve_stage_sum_p50_us: 0.0,
+        serve_total_p50_us: 0.0,
     }
 }
 
@@ -368,6 +518,15 @@ pub fn render_obs_overhead(rep: &ObsOverheadReport) -> String {
             rep.serve_budget_factor,
             if rep.serve_within_budget() { "OK" } else { "OVER BUDGET" }
         );
+        let _ = writeln!(
+            out,
+            "serve stage attribution:        {:>10.3}   (stage-sum p50 {:.1} us / total p50 {:.1} us, gate 1 +/- {:.2}) {}",
+            rep.serve_attribution_ratio(),
+            rep.serve_stage_sum_p50_us,
+            rep.serve_total_p50_us,
+            SERVE_ATTRIBUTION_TOLERANCE,
+            if rep.serve_attribution_ok() { "OK" } else { "OFF" }
+        );
     }
     out
 }
@@ -378,8 +537,7 @@ pub fn render_obs_overhead(rep: &ObsOverheadReport) -> String {
 /// overwriting a directory or an arbitrary non-JSON file is a typed
 /// `Config` error so the mistake costs seconds, not a study plus a
 /// file.
-pub fn validate_out_path(out: &str) -> Result<(), occu_error::OccuError> {
-    use occu_error::OccuError;
+pub fn validate_out_path(out: &str) -> Result<(), OccuError> {
     let path = std::path::Path::new(out);
     if !out.to_ascii_lowercase().ends_with(".json") {
         return Err(OccuError::config(
@@ -480,6 +638,24 @@ mod tests {
         let json = serde_json::to_string_pretty(&rep).unwrap();
         let back: ObsOverheadReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.reps, rep.reps);
+    }
+
+    #[test]
+    fn serve_pass_records_stages_only_with_telemetry_on() {
+        let _guard = GLOBAL_OBS.lock().unwrap();
+        // With telemetry off the stage windows stay empty (the inert
+        // baseline the serve budget compares against).
+        let (rps, stage_sum_us, total_us) = serve_pass(200, 2, false).unwrap();
+        assert!(rps > 0.0);
+        assert_eq!((stage_sum_us, total_us), (0.0, 0.0));
+        let (rps, stage_sum_us, total_us) = serve_pass(200, 2, true).unwrap();
+        assert!(rps > 0.0);
+        assert!(stage_sum_us > 0.0 && total_us > 0.0, "{stage_sum_us} / {total_us}");
+        // Booting a server switches recording on; leave the process
+        // quiet for the other tests.
+        occu_obs::disable();
+        occu_obs::take_spans();
+        occu_obs::clear_metrics();
     }
 
     #[test]

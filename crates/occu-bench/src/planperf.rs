@@ -8,7 +8,11 @@
 //!    interpreter's. Any mismatch fails the gate.
 //! 2. **Throughput** — executing a cached plan must beat re-recording
 //!    the interpreter tape by at least [`PLAN_SPEEDUP_GATE`] on
-//!    aggregate predictions/sec across the zoo.
+//!    aggregate predictions/sec across the zoo. The timing alternates
+//!    one interpreter call and one plan call per model, so host drift
+//!    hits both executors alike, and repeats whole zoo passes until at
+//!    least 1 s and 5 passes have run; the gate reads the median
+//!    pass.
 //!
 //! The report is written to `reports/plan_perf.json`.
 
@@ -25,6 +29,11 @@ use std::time::Instant;
 /// for this container.
 pub const PLAN_SPEEDUP_GATE: f64 = 1.15;
 
+/// Wall time the timing keeps repeating zoo passes for.
+const PLAN_MIN_WALL_S: f64 = 1.0;
+/// Fewest timed zoo passes, however long one pass takes.
+const PLAN_MIN_PASSES: usize = 5;
+
 /// Per-model timing and exactness row.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PlanModelRow {
@@ -34,9 +43,9 @@ pub struct PlanModelRow {
     pub n_nodes: usize,
     /// Edge count (post-featurization, ≥ 1).
     pub n_edges: usize,
-    /// Best-of-reps interpreter forward, microseconds.
+    /// Median interpreter forward over the passes, microseconds.
     pub interp_us: f64,
-    /// Best-of-reps compiled-plan forward, microseconds.
+    /// Median compiled-plan forward over the passes, microseconds.
     pub plan_us: f64,
     /// `interp_us / plan_us`.
     pub speedup: f64,
@@ -53,16 +62,19 @@ pub struct PlanPerfReport {
     pub models: usize,
     /// Models whose plan diverged from the interpreter (must be empty).
     pub mismatches: Vec<String>,
-    /// Aggregate interpreter throughput, predictions/sec.
+    /// Interpreter throughput over one zoo pass (the median pass),
+    /// predictions/sec.
     pub interp_pred_s: f64,
-    /// Aggregate compiled-plan throughput, predictions/sec.
+    /// Compiled-plan throughput over one zoo pass (the median pass),
+    /// predictions/sec.
     pub plan_pred_s: f64,
-    /// `plan_pred_s / interp_pred_s`.
+    /// Median over the passes of one pass's interpreter time over its
+    /// plan time: the gated speedup.
     pub speedup: f64,
     /// The gate this run was held to.
     pub speedup_gate: f64,
-    /// Forward passes timed per model per executor.
-    pub reps: usize,
+    /// Zoo passes timed; each times every model once per executor.
+    pub passes: usize,
     /// Per-model breakdown.
     pub rows: Vec<PlanModelRow>,
 }
@@ -88,33 +100,28 @@ impl PlanPerfReport {
     }
 }
 
-/// Times `reps` calls of `f` and returns the fastest, microseconds.
-/// Best-of-N is the noise-resistant statistic: scheduler preemption
-/// and cache pollution only ever add time, so the minimum is the
-/// closest observation of the true cost.
-fn time_best_us(reps: usize, mut f: impl FnMut() -> f32) -> f64 {
-    let mut best = f64::INFINITY;
-    let mut sink = 0.0f32;
-    for _ in 0..reps {
-        let started = Instant::now();
-        sink += f();
-        best = best.min(started.elapsed().as_secs_f64() * 1e6);
-    }
-    std::hint::black_box(sink);
-    best
+/// Median of `xs` (the upper one for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Microseconds one call of `f` takes.
+fn time_us(f: impl FnOnce() -> f32) -> f64 {
+    let started = Instant::now();
+    std::hint::black_box(f());
+    started.elapsed().as_secs_f64() * 1e6
 }
 
 /// Runs the exactness sweep and the throughput comparison across the
 /// whole zoo with a fast-config model.
-pub fn plan_study(quick: bool, seed: u64) -> PlanPerfReport {
-    let reps = if quick { 3 } else { 20 };
+pub fn plan_study(seed: u64) -> PlanPerfReport {
     let model = DnnOccu::new(DnnOccuConfig::fast(), seed);
     let device = DeviceSpec::a100();
 
+    let mut cases = Vec::new();
     let mut rows = Vec::new();
     let mut mismatches = Vec::new();
-    let mut interp_total_us = 0.0;
-    let mut plan_total_us = 0.0;
     for &id in ModelId::ALL {
         let fg = occu_core::dataset::make_sample(id, id.default_config(), &device).features;
         let compile_started = Instant::now();
@@ -125,38 +132,52 @@ pub fn plan_study(quick: bool, seed: u64) -> PlanPerfReport {
         if !exact {
             mismatches.push(id.name().to_string());
         }
-
-        // Warm both paths once (thread-local tape/executor arenas),
-        // then time the steady state.
-        let _ = model.predict_target(&fg);
-        let _ = plan.predict_target(&fg);
-        let interp_us = time_best_us(reps, || model.predict_target(&fg));
-        let plan_us = time_best_us(reps, || plan.predict_target(&fg));
-        interp_total_us += interp_us;
-        plan_total_us += plan_us;
         rows.push(PlanModelRow {
             model: id.name().to_string(),
             n_nodes: fg.num_nodes(),
             n_edges: fg.edge_src.len(),
-            interp_us,
-            plan_us,
-            speedup: interp_us / plan_us.max(1e-9),
+            interp_us: 0.0,
+            plan_us: 0.0,
+            speedup: 0.0,
             compile_us,
             exact,
         });
+        cases.push((fg, plan));
     }
 
-    // Aggregate throughput: one pass over the whole zoo per executor.
-    let interp_pred_s = rows.len() as f64 / (interp_total_us / 1e6);
-    let plan_pred_s = rows.len() as f64 / (plan_total_us / 1e6);
+    // The exactness calls above warmed both paths (thread-local
+    // tape/executor arenas); every pass now times the steady state.
+    let mut interp_us: Vec<Vec<f64>> = vec![Vec::new(); cases.len()];
+    let mut plan_us: Vec<Vec<f64>> = vec![Vec::new(); cases.len()];
+    let mut pass_totals = Vec::new();
+    let timing = Instant::now();
+    while pass_totals.len() < PLAN_MIN_PASSES || timing.elapsed().as_secs_f64() < PLAN_MIN_WALL_S {
+        let (mut interp_total, mut plan_total) = (0.0, 0.0);
+        for (i, (fg, plan)) in cases.iter().enumerate() {
+            let t = time_us(|| model.predict_target(fg));
+            interp_us[i].push(t);
+            interp_total += t;
+            let t = time_us(|| plan.predict_target(fg));
+            plan_us[i].push(t);
+            plan_total += t;
+        }
+        pass_totals.push((interp_total, plan_total));
+    }
+    for ((row, interp), plan) in rows.iter_mut().zip(interp_us).zip(plan_us) {
+        row.interp_us = median(interp);
+        row.plan_us = median(plan);
+        row.speedup = row.interp_us / row.plan_us.max(1e-9);
+    }
+
+    let models = rows.len() as f64;
     PlanPerfReport {
         models: rows.len(),
         mismatches,
-        interp_pred_s,
-        plan_pred_s,
-        speedup: plan_pred_s / interp_pred_s.max(1e-9),
+        interp_pred_s: models / (median(pass_totals.iter().map(|p| p.0).collect()) / 1e6),
+        plan_pred_s: models / (median(pass_totals.iter().map(|p| p.1).collect()) / 1e6),
+        speedup: median(pass_totals.iter().map(|(i, p)| i / p.max(1e-9)).collect()),
         speedup_gate: PLAN_SPEEDUP_GATE,
-        reps,
+        passes: pass_totals.len(),
         rows,
     }
 }
@@ -167,8 +188,8 @@ pub fn render_plan(rep: &PlanPerfReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "== Compiled-plan gate: {} zoo models, {} reps/executor ==",
-        rep.models, rep.reps
+        "== Compiled-plan gate: {} zoo models, median of {} alternating passes ==",
+        rep.models, rep.passes
     );
     let _ = writeln!(
         out,
@@ -191,7 +212,7 @@ pub fn render_plan(rep: &PlanPerfReport) -> String {
     }
     let _ = writeln!(
         out,
-        "aggregate: {:.0} -> {:.0} pred/s ({:.2}x, gate {:.2}x), {} bitwise mismatches",
+        "median pass: {:.0} -> {:.0} pred/s ({:.2}x, gate {:.2}x), {} bitwise mismatches",
         rep.interp_pred_s,
         rep.plan_pred_s,
         rep.speedup,
@@ -214,7 +235,7 @@ mod tests {
             plan_pred_s: 105.0,
             speedup: 1.05,
             speedup_gate: PLAN_SPEEDUP_GATE,
-            reps: 3,
+            passes: 5,
             rows: Vec::new(),
         };
         let failures = rep.gate_failures(true);
@@ -234,7 +255,7 @@ mod tests {
             plan_pred_s: 130.0,
             speedup: 1.3,
             speedup_gate: PLAN_SPEEDUP_GATE,
-            reps: 20,
+            passes: 5,
             rows: Vec::new(),
         };
         assert!(rep.gate_failures(true).is_empty());

@@ -24,6 +24,12 @@ fn assert_clean_failure(out: &Output, code: i32, needle: &str) {
 #[test]
 fn usage_errors_exit_2() {
     assert_clean_failure(&repro(&["figure-nine"]), 2, "unknown experiment");
+    // Retired subcommands and the flags only they read are usage errors.
+    assert_clean_failure(&repro(&["loadgen"]), 2, "unknown experiment");
+    assert_clean_failure(&repro(&["fleet"]), 2, "unknown experiment");
+    for flag in ["--url", "--requests", "--concurrency", "--telemetry", "--rungs", "--zipf", "--seed"] {
+        assert_clean_failure(&repro(&["perf", flag, "1"]), 2, "unknown flag");
+    }
     assert_clean_failure(&repro(&["fig4", "--device"]), 2, "--device expects a value");
     assert_clean_failure(&repro(&["perf", "--workers", "two,4"]), 2, "not an integer");
 }
@@ -68,20 +74,16 @@ fn out_clobber_guard_exits_6() {
 
     // So must a target without a .json extension — for every report
     // writer, not just perf.
-    let out = repro(&["loadgen", "--out", "serve_perf.txt"]);
+    let out = repro(&["plan", "--out", "plan_perf.txt"]);
     assert_clean_failure(&out, 6, ".json");
     let out = repro(&["obs-overhead", "--out", "overhead.csv"]);
     assert_clean_failure(&out, 6, ".json");
 }
 
 #[test]
-fn loadgen_usage_errors_exit_2() {
-    assert_clean_failure(
-        &repro(&["loadgen", "--requests", "many"]),
-        2,
-        "not an integer",
-    );
-    assert_clean_failure(&repro(&["loadgen", "--concurrency"]), 2, "expects a value");
+fn perf_usage_errors_exit_2() {
+    assert_clean_failure(&repro(&["perf", "--workers", "many"]), 2, "not an integer");
+    assert_clean_failure(&repro(&["perf", "--out"]), 2, "expects a value");
 }
 
 #[test]

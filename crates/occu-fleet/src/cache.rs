@@ -2,8 +2,8 @@
 //!
 //! Slots live in a `Vec` linked by indices (no allocator churn after
 //! warm-up, no pointer juggling); a `HashMap` gives O(1) key lookup.
-//! The cache counts hits, misses, and evictions so `/metrics` and the
-//! loadgen report can state the hit rate exactly.
+//! The cache counts hits, misses, and evictions so `/metrics` and
+//! `/debug/statusz` can state the hit rate exactly.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -1,8 +1,8 @@
 //! Property test pinning `LruCache` against a naive reference model.
 //!
-//! The serving tier splits its prediction cache into per-shard LRUs
-//! whose aggregate hit/miss/eviction counters feed
-//! `/metrics` and the loadgen gates — so the counters must be *exact*
+//! The serving tier's prediction cache is one LRU whose
+//! hit/miss/eviction counters feed `/metrics` and
+//! `/debug/statusz` — so the counters must be *exact*
 //! under any interleaving of `get` (counts + reorders), `peek`
 //! (counter-neutral, order-neutral), `insert` (may evict), and
 //! `clear` (drops entries, preserves counters). The reference model

@@ -16,7 +16,7 @@
 //! * FLOPs accounting per operator following §III-C (e.g. `Conv2d`
 //!   FLOPs = `2·K·C·R·S·N·P·Q`).
 //! * [`CompGraph`] — DAG construction, validation, topological order,
-//!   and summary statistics; serializable with serde for dataset
+//!   degrees and FLOP totals; serializable with serde for dataset
 //!   caching.
 
 #![warn(clippy::unwrap_used)]
@@ -25,12 +25,10 @@ pub mod fingerprint;
 pub mod graph;
 pub mod op;
 pub mod shape;
-pub mod stats;
 pub mod training;
 
 pub use fingerprint::GraphFingerprint;
 pub use graph::{CompGraph, Edge, EdgeKind, GraphBuilder, GraphMeta, ModelFamily, Node, NodeId};
 pub use op::{op_flops, OpCategory, OpKind};
 pub use shape::{conv_out_dim, infer_output_shape, Hyper, TensorShape};
-pub use stats::{graph_stats, op_histogram, GraphStats};
 pub use training::to_training_graph;

@@ -24,14 +24,12 @@ pub mod cluster;
 pub mod interference;
 pub mod job;
 pub mod policy;
-pub mod spatial;
 pub mod trace;
 
 pub use cluster::{simulate, GpuSpec, SimResult};
 pub use interference::{jct_interference_study, slowdown, InterferencePoint};
 pub use job::Job;
 pub use policy::PackingPolicy;
-pub use spatial::{proportional_shares, spatial_beats_temporal, spatial_rates, spatial_throughput, SpatialShare};
 pub use trace::{
     assign_poisson_arrivals, jobs_from_csv, jobs_to_csv, load_factor, load_trace, save_trace, TRACE_HEADER,
 };

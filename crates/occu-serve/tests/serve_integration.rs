@@ -37,26 +37,36 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
 /// One-shot HTTP exchange keeping the raw header block; returns
 /// (status, headers, body).
 fn request_full(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
+    try_request_full(addr, method, path, body).expect("HTTP exchange")
+}
+
+/// [`request_full`] that reports a transport failure (refused or reset
+/// connection, unparseable status line) instead of panicking.
+fn try_request_full(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> std::io::Result<(u16, String, String)> {
+    let mut s = TcpStream::connect(addr)?;
     write!(
         s,
         "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
         body.len()
-    )
-    .expect("write head");
-    s.write_all(body.as_bytes()).expect("write body");
+    )?;
+    s.write_all(body.as_bytes())?;
     let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("read response");
+    s.read_to_string(&mut raw)?;
     let status: u16 = raw
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .expect("status line");
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no status line"))?;
     let (head, body) = raw
         .split_once("\r\n\r\n")
         .map(|(h, b)| (h.to_string(), b.to_string()))
         .unwrap_or_default();
-    (status, head, body)
+    Ok((status, head, body))
 }
 
 /// The value of `header` in a raw response head, if present.
@@ -580,6 +590,144 @@ fn fleet_routes_by_tenant_and_reloads_one_model_at_a_time() {
     // Reload of an unknown tenant is a 404, not a default fallback.
     let (status, bad) = request(addr, "POST", "/reload", r#"{"model": "nope"}"#);
     assert_eq!(status, 404, "body: {bad}");
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Client threads send `alpha` and `bravo` predictions while alpha's
+/// weights file is rewritten and `/reload`ed in the middle of the run.
+/// Nothing drops and nothing answers non-200; every alpha answer sent
+/// after the reload's 200 is the new weights' forward pass bit for bit
+/// (a stale prediction-cache entry or compiled plan would replay the
+/// old weights), and bravo never changes. The run's `/metrics` then
+/// attributes the traffic to every request stage.
+#[test]
+fn fleet_reload_under_concurrent_traffic_serves_no_stale_answers() {
+    use occu_core::OccuPredictor;
+    use occu_models::{ModelConfig, ModelId};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let dir = std::env::temp_dir().join(format!("occu_serve_fleet_live_{}", std::process::id()));
+    let server = start_fleet(&dir);
+    let addr = server.local_addr();
+
+    // Each spec's answer under a model: its forward pass on the graph
+    // the server builds for `{"model", "batch"}` on the default a100.
+    const SPECS: [(ModelId, usize); 4] =
+        [(ModelId::LeNet, 1), (ModelId::LeNet, 2), (ModelId::AlexNet, 1), (ModelId::AlexNet, 2)];
+    let answers_of = |model: &DnnOccu| -> Vec<u32> {
+        SPECS
+            .iter()
+            .map(|&(id, batch)| {
+                let graph = id.build(&ModelConfig { batch_size: batch, ..id.default_config() });
+                let fg = occu_core::features::featurize(&graph, &occu_gpusim::DeviceSpec::a100());
+                model.predict(&fg).to_bits()
+            })
+            .collect()
+    };
+    let alpha_old = answers_of(&tiny_model(1));
+    let alpha_new = answers_of(&tiny_model(3));
+    let bravo = answers_of(&tiny_model(2));
+    for k in 0..SPECS.len() {
+        assert_ne!(alpha_old[k], alpha_new[k], "spec {k}: the reload must change the answer");
+    }
+
+    // Each client sends at least MIN_PER_CLIENT requests, and keeps
+    // sending until it has sent MIN_AFTER after the reload answered.
+    const CLIENTS: usize = 4;
+    const MIN_PER_CLIENT: usize = 40;
+    const MIN_AFTER: usize = 8;
+    let sent = AtomicUsize::new(0);
+    let reload_done = AtomicBool::new(false);
+    let reloaded = AtomicBool::new(false);
+    // (tenant is alpha, spec index, sent after the reload's 200,
+    // status, occupancy bits); Err is a transport drop.
+    type Answer = std::io::Result<(bool, usize, bool, u16, u32)>;
+    let (reload, answers): (std::io::Result<(u16, String)>, Vec<Answer>) = std::thread::scope(|s| {
+        let reload = s.spawn(|| {
+            while sent.load(Ordering::SeqCst) < CLIENTS * MIN_PER_CLIENT / 2 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            std::fs::write(dir.join("alpha.json"), tiny_model(3).to_json()).expect("rewrite weights");
+            let outcome = try_request_full(addr, "POST", "/reload", r#"{"model": "alpha"}"#)
+                .map(|(status, _, body)| (status, body));
+            reloaded.store(matches!(outcome, Ok((200, _))), Ordering::SeqCst);
+            reload_done.store(true, Ordering::SeqCst);
+            outcome
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (sent, reload_done, reloaded) = (&sent, &reload_done, &reloaded);
+                s.spawn(move || {
+                    let mut answers = Vec::new();
+                    let mut after = 0;
+                    let mut i = 0;
+                    let reload_failed =
+                        || reload_done.load(Ordering::SeqCst) && !reloaded.load(Ordering::SeqCst);
+                    while i < MIN_PER_CLIENT || (after < MIN_AFTER && !reload_failed()) {
+                        let alpha = (c + i) % 2 == 0;
+                        let k = (c + i / 2) % SPECS.len();
+                        let (id, batch) = SPECS[k];
+                        let tenant = if alpha { "alpha" } else { "bravo" };
+                        let body = format!(r#"{{"tenant": "{tenant}", "model": "{}", "batch": {batch}}}"#, id.name());
+                        let post_reload = reloaded.load(Ordering::SeqCst);
+                        answers.push(try_request_full(addr, "POST", "/predict", &body).map(|(status, _, body)| {
+                            let bits = if status == 200 { (occupancy_of(&body) as f32).to_bits() } else { 0 };
+                            (alpha, k, post_reload, status, bits)
+                        }));
+                        sent.fetch_add(1, Ordering::SeqCst);
+                        after += usize::from(post_reload);
+                        i += 1;
+                    }
+                    answers
+                })
+            })
+            .collect();
+        let answers = clients.into_iter().flat_map(|c| c.join().expect("client thread")).collect();
+        (reload.join().expect("reload thread"), answers)
+    });
+
+    let (status, body) = reload.expect("reload transport");
+    assert_eq!(status, 200, "reload: {body}");
+    let drops = answers.iter().filter(|a| a.is_err()).count();
+    assert_eq!(drops, 0, "transport drops: {:?}", answers.iter().filter(|a| a.is_err()).collect::<Vec<_>>());
+    let mut checked_after = 0;
+    for answer in answers.iter().flatten() {
+        let &(alpha, k, post_reload, status, bits) = answer;
+        assert_eq!(status, 200, "spec {k} (alpha: {alpha}) answered {status}");
+        if !alpha {
+            assert_eq!(bits, bravo[k], "bravo spec {k} changed across alpha's reload");
+        } else if post_reload {
+            assert_eq!(bits, alpha_new[k], "alpha spec {k} sent after the reload served a stale answer");
+            checked_after += 1;
+        } else {
+            assert!(bits == alpha_old[k] || bits == alpha_new[k], "alpha spec {k} matches neither weights");
+        }
+    }
+    assert!(checked_after >= CLIENTS * MIN_AFTER / 2, "only {checked_after} alpha answers after the reload");
+
+    // Every request stage recorded samples, the batch-size histogram
+    // and the scratch-arena gauge are exported, and the stage p50s
+    // account for the end-to-end p50 (loosely: the run is short).
+    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let sample = |series: &str| -> Option<f64> {
+        metrics.lines().find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+    };
+    for stage in occu_serve::STAGE_NAMES {
+        let count = sample(&format!("serve_stage_us_count{{stage=\"{stage}\"}}"));
+        assert!(count.is_some_and(|n| n > 0.0), "stage '{stage}' recorded no samples: {metrics}");
+    }
+    assert!(sample("serve_batch_size_count").is_some_and(|n| n > 0.0), "no batch sizes: {metrics}");
+    assert!(sample("serve_arena_allocated_bytes").is_some_and(|n| n > 0.0), "no arena gauge: {metrics}");
+    let stage_sum: f64 = occu_serve::STAGE_NAMES
+        .iter()
+        .map(|stage| sample(&format!("serve_stage_us{{stage=\"{stage}\",quantile=\"0.5\"}}")).expect("stage p50"))
+        .sum();
+    let total = sample("serve_request_total_us{quantile=\"0.5\"}").expect("total p50");
+    let ratio = stage_sum / total;
+    assert!(ratio > 0.5 && ratio < 1.5, "stage-sum p50 {stage_sum} vs total p50 {total}");
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
