@@ -121,7 +121,7 @@ fn die_usage(msg: &str) -> ! {
     eprintln!();
     eprintln!("usage: occu <models|devices|profile|train|predict|schedule|serve> [flags]");
     eprintln!("  occu profile  --model ResNet-50 --batch 32 --device a100 [--training] [--kernels] [--json]");
-    eprintln!("  occu train    [--out model.json] [--device a100] [--configs 8] [--epochs 50] [--hidden 64] [--workers 0] [--test-fraction 0.2]");
+    eprintln!("  occu train    [--out model.json] [--device a100] [--configs 8] [--epochs 50] [--hidden 32] [--workers 0] [--test-fraction 0.2]");
     eprintln!("  occu predict  --weights model.json --model ResNet-50 [--batch 32] [--device a100] [--json]");
     eprintln!("  occu schedule [--jobs 24] [--gpus 4] [--weights model.json] [--trace jobs.csv] [--save-trace jobs.csv] [--seed 1]");
     eprintln!("  occu serve    --weights model.json [--addr 127.0.0.1] [--port 7071] [--threads 4] [--queue 128] [--cache 12288] [--slo-us 5000] [--recorder 256] [--precision f32|int8]");

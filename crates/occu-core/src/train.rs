@@ -4,9 +4,10 @@ use crate::dataset::{Dataset, Sample};
 use crate::features::FeaturizedGraph;
 use crate::metrics::EvalResult;
 use occu_error::OccuError;
-use occu_nn::{Adam, AdamConfig, GradBuffer, Optimizer, ParamStore, Tape, Var};
-use occu_tensor::SeededRng;
+use occu_nn::{Adam, AdamConfig, GradBuffer, ParamStore, Tape, Var};
+use occu_tensor::{Matrix, SeededRng};
 use rayon::prelude::*;
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -107,13 +108,14 @@ pub trait OccuPredictor: Send + Sync {
 /// Worker-count policy for data-parallel training and evaluation.
 ///
 /// Training results are bit-identical for every worker count (see
-/// [`Trainer::fit`]), so `auto` is always safe; `serial` exists to
-/// skip thread spawning entirely on single-core machines or inside
-/// outer parallel loops (ensemble members, experiment sweeps) that
-/// already saturate the cores.
+/// [`Trainer::fit`]), so `auto` is always safe; `serial` keeps a fit
+/// entirely on the calling thread, for outer parallel loops (ensemble
+/// members, experiment sweeps) that already keep the cores busy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
-    /// Worker threads. `0` means auto-detect the machine's cores.
+    /// Worker threads. `0` means the rayon pool's thread count
+    /// (`rayon::current_num_threads()`: the machine's cores, or
+    /// `RAYON_NUM_THREADS`).
     pub workers: usize,
 }
 
@@ -123,12 +125,14 @@ impl Parallelism {
         Self { workers: 1 }
     }
 
-    /// Use every available core.
+    /// Use every thread of the rayon pool.
     pub fn auto() -> Self {
         Self { workers: 0 }
     }
 
-    /// Use exactly `n` workers (clamped to at least one).
+    /// Use exactly `n` workers (clamped to at least one). They run on
+    /// the rayon pool, so at most `rayon::current_num_threads()` of
+    /// them are busy at once.
     pub fn fixed(n: usize) -> Self {
         Self { workers: n.max(1) }
     }
@@ -136,7 +140,7 @@ impl Parallelism {
     /// Concrete worker count for this machine.
     pub fn resolve(self) -> usize {
         if self.workers == 0 {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+            rayon::current_num_threads()
         } else {
             self.workers
         }
@@ -240,12 +244,16 @@ pub struct EpochStats {
 /// against a *read-only* model ([`occu_nn::Tape::backward_into`]
 /// collects gradients into a per-sample [`GradBuffer`] instead of
 /// mutating the store). Each worker claims the next unclaimed sample
-/// of the batch from a shared counter, so a worker that draws a large
-/// graph does not hold the others to a fixed share. Every sample's
-/// gradients land in the buffer of its batch position, and the buffers
-/// are folded into one accumulator in that (global shuffled) order, so
-/// the summation tree — and therefore every trained parameter bit — is
-/// the same for every worker count given the same seed.
+/// of the batch from a shared counter, largest graph first, so a
+/// worker that draws a large graph does not hold the others to a fixed
+/// share and the batch does not end on one. Every sample's gradients
+/// land in the buffer of its batch position, and the buffers are
+/// folded into one accumulator in that (global shuffled) order, so the
+/// summation tree — and therefore every trained parameter bit — is the
+/// same for every worker count given the same seed. The fold, the
+/// clip and the Adam step are split by parameter over the same workers
+/// ([`fold_and_step`]); each parameter's arithmetic is the serial
+/// sequence's, so the split changes no bit either.
 ///
 /// A fit owns its scratch for its whole run: one tape per worker,
 /// cleared but never dropped, so its arena stays warm across batches
@@ -349,8 +357,8 @@ impl Trainer {
     }
 
     /// Computes per-sample gradients for one batch ([`sample_grads`]),
-    /// merges them deterministically, and takes one optimizer step.
-    /// Returns the summed sample losses.
+    /// then folds them in batch order and takes one optimizer step
+    /// ([`fold_and_step`]). Returns the summed sample losses.
     fn train_batch(
         &self,
         model: &mut dyn OccuPredictor,
@@ -366,33 +374,73 @@ impl Trainer {
         let slots = &mut scratch.slots[..batch.len()];
         sample_grads(&*model, data, batch, &mut scratch.tapes, slots);
         // The workers have joined; the store is written from here on.
-        let store = model.store_mut();
-        // Fixed left-fold in batch order: identical summation tree for
-        // any worker count, hence bit-identical training.
-        let mut batch_loss = 0.0f32;
-        for slot in slots.iter_mut() {
-            let slot = slot.get_mut().expect("a gradient worker panicked holding its slot");
-            batch_loss += slot.loss;
-            scratch.acc.merge(&slot.grads);
-        }
-        self.step(store, opt, &mut scratch.acc, batch.len());
+        let slots: Vec<&SampleSlot> =
+            slots.iter_mut().map(|s| &*s.get_mut().expect("a gradient worker panicked holding its slot")).collect();
+        let batch_loss = slots.iter().fold(0.0f32, |sum, s| sum + s.loss);
+        let samples: Vec<&GradBuffer> = slots.iter().map(|s| &s.grads).collect();
+        let parallel = scratch.tapes.len() > 1;
+        fold_and_step(model.store_mut(), opt, &mut scratch.acc, &samples, self.cfg.clip_norm, parallel);
         batch_loss
     }
+}
 
-    /// Averages, clips and applies the accumulated gradients, leaving
-    /// `acc` zeroed.
-    fn step(&self, store: &mut ParamStore, opt: &mut Adam, acc: &mut GradBuffer, accumulated: usize) {
-        if accumulated > 1 {
-            acc.scale(1.0 / accumulated as f32);
+/// Folds the per-sample gradients `samples` into `acc` (zero on entry)
+/// in batch order, averages, clips the global norm to `clip_norm` (0
+/// disables) and applies one Adam step, leaving `acc` zeroed.
+///
+/// Two fan-outs over the parameters, on the rayon pool when `parallel`
+/// and on the calling thread otherwise. The first sums each
+/// parameter's gradients in batch order, scales by `1/n` and returns
+/// the parameter's sum of squares; the caller adds those in parameter
+/// order into the global norm ([`GradBuffer::norm_from_sum_sq`]). The
+/// second clips, runs [`occu_nn::AdamUpdate::apply`] and zeroes the
+/// accumulator, each parameter on its own. Every element sees the
+/// arithmetic of `merge` → `scale` → `clip_norm` → `Adam::step` in the
+/// same order, so the parameters come out bit-identical to that serial
+/// sequence however the parameters are shared out.
+fn fold_and_step(
+    store: &mut ParamStore,
+    opt: &mut Adam,
+    acc: &mut GradBuffer,
+    samples: &[&GradBuffer],
+    clip_norm: f32,
+    parallel: bool,
+) {
+    let n = samples.len();
+    let sums = fan_out(parallel, acc.grads_mut().iter_mut().enumerate().collect(), |(p, a): (usize, &mut Matrix)| {
+        for s in samples {
+            a.add_assign(&s.grads()[p]);
         }
-        if occu_obs::enabled() {
-            // Pre-clip norm: the true gradient magnitude of the step.
-            occu_obs::gauge("train.grad_norm").set(f64::from(acc.norm()));
+        if n > 1 {
+            let s = 1.0 / n as f32;
+            a.map_inplace(|x| x * s);
         }
-        if self.cfg.clip_norm > 0.0 {
-            acc.clip_norm(self.cfg.clip_norm);
+        GradBuffer::sum_sq(a)
+    });
+    // Pre-clip norm: the true gradient magnitude of the step.
+    let norm = GradBuffer::norm_from_sum_sq(sums);
+    if occu_obs::enabled() {
+        occu_obs::gauge("train.grad_norm").set(f64::from(norm));
+    }
+    let clip = if clip_norm > 0.0 { GradBuffer::clip_scale(norm, clip_norm) } else { None };
+    let update = opt.begin_step();
+    let params = store.values_mut().zip(opt.moments_mut()).zip(acc.grads_mut()).collect();
+    fan_out(parallel, params, |((value, (m, v)), g)| {
+        if let Some(s) = clip {
+            g.map_inplace(|x| x * s);
         }
-        opt.step(store, acc);
+        update.apply(value, m, v, g);
+        g.data_mut().fill(0.0);
+    });
+}
+
+/// Runs `f` over `items`, on the rayon pool when `parallel` and in a
+/// loop on the calling thread otherwise, returning results in order.
+fn fan_out<T: Send, R: Send>(parallel: bool, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    if parallel {
+        items.into_par_iter().map(f).collect()
+    } else {
+        items.into_iter().map(f).collect()
     }
 }
 
@@ -403,11 +451,14 @@ const BATCH_LOSS_EDGES: [f64; 9] = [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e
 
 /// Forward + backward for every sample of `batch`, on up to one worker
 /// per tape: each worker claims the next unclaimed batch position from
-/// a shared counter and writes that sample's loss and gradients into
-/// `slots[position]`, so the results come out in batch order however
-/// the samples were shared out. The model is only read, so the workers
-/// run concurrently against one predictor; each reuses its own tape
-/// (cleared per sample), so the tapes' arenas stay warm across calls.
+/// a shared counter, in descending node count (ties in batch order),
+/// and writes that sample's loss and gradients into `slots[position]`,
+/// so the results come out in batch order however the samples were
+/// shared out. Largest first, the batch ends on small graphs rather
+/// than one worker finishing a large one while the others idle. The
+/// model is only read, so the workers run concurrently against one
+/// predictor; each reuses its own tape (cleared per sample), so the
+/// tapes' arenas stay warm across calls.
 fn sample_grads(
     model: &dyn OccuPredictor,
     data: &Dataset,
@@ -415,6 +466,9 @@ fn sample_grads(
     tapes: &mut [Tape],
     slots: &[Mutex<SampleSlot>],
 ) {
+    // Stable sort: equal node counts keep batch order.
+    let mut claims: Vec<usize> = (0..batch.len()).collect();
+    claims.sort_by_key(|&pos| Reverse(data.samples[batch[pos]].features.num_nodes()));
     // Relaxed: the counter only hands out positions; a slot's contents
     // are published by its mutex and by the join.
     let next = AtomicUsize::new(0);
@@ -422,12 +476,10 @@ fn sample_grads(
     tapes[..workers].par_iter_mut().enumerate().for_each(|(w, tape)| {
         let _span = occu_obs::span!("train.grad_worker", worker = w);
         let mut claimed = 0u64;
-        loop {
-            let pos = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&idx) = batch.get(pos) else { break };
+        while let Some(&pos) = claims.get(next.fetch_add(1, Ordering::Relaxed)) {
             let mut slot = slots[pos].lock().expect("a gradient worker panicked holding its slot");
             let SampleSlot { loss, grads } = &mut *slot;
-            *loss = sample_grad(model, tape, &data.samples[idx], grads);
+            *loss = sample_grad(model, tape, &data.samples[batch[pos]], grads);
             claimed += 1;
         }
         if occu_obs::enabled() {
@@ -576,6 +628,87 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The sharded fold and step against the serial sequence it
+    /// replaced — `merge` in batch order, `scale`, `clip_norm`,
+    /// `Adam::step` — over two steps (so the second reads the first's
+    /// moments), with the clip disabled, inactive and active. Runs on
+    /// this process's rayon pool; the next test reruns it at 1, 2 and 3
+    /// threads.
+    #[test]
+    fn sharded_fold_and_step_match_the_serial_sequence() {
+        use occu_nn::Optimizer;
+        let mut rng = SeededRng::new(21);
+        let mut store = ParamStore::new();
+        for (i, (r, c)) in [(3, 4), (1, 7), (5, 5), (16, 3), (2, 1), (33, 9)].into_iter().enumerate() {
+            store.register(format!("p{i}"), Matrix::randn(r, c, 1.0, &mut rng));
+        }
+        let samples: Vec<GradBuffer> = (0..5)
+            .map(|_| {
+                let mut g = GradBuffer::for_store(&store);
+                for m in g.grads_mut() {
+                    *m = Matrix::randn(m.rows(), m.cols(), 1.0, &mut rng);
+                }
+                g
+            })
+            .collect();
+        let adam = AdamConfig { lr: 3e-3, ..AdamConfig::default() };
+        for (clip, clipped) in [(0.0, false), (1e3, false), (0.5, true)] {
+            for n in [1, 2, 5] {
+                for parallel in [false, true] {
+                    let (mut want, mut got) = (store.clone(), store.clone());
+                    let (mut want_opt, mut got_opt) = (Adam::new(&store, adam), Adam::new(&store, adam));
+                    let mut want_acc = GradBuffer::for_store(&store);
+                    let mut got_acc = GradBuffer::for_store(&store);
+                    for batch in [&samples[..n], &samples[5 - n..]] {
+                        for s in batch {
+                            want_acc.merge(s);
+                        }
+                        if n > 1 {
+                            want_acc.scale(1.0 / n as f32);
+                        }
+                        if clip > 0.0 {
+                            assert_eq!(want_acc.norm() > clip, clipped, "clip {clip} at batch {n}");
+                            want_acc.clip_norm(clip);
+                        }
+                        want_opt.step(&mut want, &mut want_acc);
+                        let batch: Vec<&GradBuffer> = batch.iter().collect();
+                        fold_and_step(&mut got, &mut got_opt, &mut got_acc, &batch, clip, parallel);
+                    }
+                    for id in store.ids() {
+                        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(want.value(id)),
+                            bits(got.value(id)),
+                            "{} differs: clip {clip}, batch {n}, parallel {parallel}",
+                            store.name(id),
+                        );
+                        assert!(got_acc.grad(id).data().iter().all(|&x| x.to_bits() == 0), "accumulator not zeroed");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_fold_and_step_match_at_one_two_and_three_threads() {
+        // The pool's size is fixed per process at first use, so each
+        // thread count runs the test above in a child process.
+        let exe = std::env::current_exe().expect("test binary path");
+        for threads in ["1", "2", "3"] {
+            let out = std::process::Command::new(&exe)
+                .args(["--exact", "train::tests::sharded_fold_and_step_match_the_serial_sequence", "--test-threads", "1"])
+                .env("RAYON_NUM_THREADS", threads)
+                .output()
+                .expect("rerun the test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "at {threads} threads:\n{stdout}\n{}",
+                String::from_utf8_lossy(&out.stderr),
+            );
         }
     }
 

@@ -43,7 +43,7 @@ pub mod record;
 pub mod tape;
 
 pub use layers::{Activation, FeedForward, LayerNorm, Linear, LstmCell, Mlp, MultiHeadAttention};
-pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
+pub use optim::{Adam, AdamConfig, AdamUpdate, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};
 pub use record::Recorder;
 pub use tape::{GradBuffer, Tape, Var};

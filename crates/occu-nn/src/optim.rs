@@ -79,33 +79,59 @@ impl Adam {
     pub fn lr(&self) -> f32 {
         self.cfg.lr
     }
+
+    /// Starts one step: advances the step count and returns the update
+    /// that [`AdamUpdate::apply`] makes to each parameter. A caller
+    /// that splits the step per parameter applies it to every
+    /// parameter once, with the moments from [`Adam::moments_mut`];
+    /// [`Optimizer::step`] is that loop on one thread.
+    pub fn begin_step(&mut self) -> AdamUpdate {
+        self.t += 1;
+        let AdamConfig { beta1, beta2, .. } = self.cfg;
+        AdamUpdate {
+            cfg: self.cfg,
+            bc1: 1.0 - beta1.powi(self.t as i32),
+            bc2: 1.0 - beta2.powi(self.t as i32),
+        }
+    }
+
+    /// Each parameter's first and second moments, in param-id order.
+    pub fn moments_mut(&mut self) -> impl Iterator<Item = (&mut Matrix, &mut Matrix)> {
+        self.m.iter_mut().zip(self.v.iter_mut())
+    }
+}
+
+/// One Adam step's update, as [`Adam::begin_step`] returns it: the
+/// hyperparameters and the step's bias corrections.
+#[derive(Clone, Copy, Debug)]
+pub struct AdamUpdate {
+    cfg: AdamConfig,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamUpdate {
+    /// Updates one parameter's `value` and its moments `m`, `v` from
+    /// its gradient `g`.
+    pub fn apply(&self, value: &mut Matrix, m: &mut Matrix, v: &mut Matrix, g: &Matrix) {
+        let AdamConfig { lr, beta1, beta2, eps, weight_decay } = self.cfg;
+        for ((mi, vi), &gi) in m.data_mut().iter_mut().zip(v.data_mut().iter_mut()).zip(g.data().iter()) {
+            *mi = beta1 * *mi + (1.0 - beta1) * gi;
+            *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+        }
+        for ((p, &mi), &vi) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
+            let m_hat = mi / self.bc1;
+            let v_hat = vi / self.bc2;
+            *p -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * *p);
+        }
+    }
 }
 
 impl Optimizer for Adam {
     fn step(&mut self, store: &mut ParamStore, grads: &mut GradBuffer) {
-        self.t += 1;
-        let AdamConfig { lr, beta1, beta2, eps, weight_decay } = self.cfg;
-        let bc1 = 1.0 - beta1.powi(self.t as i32);
-        let bc2 = 1.0 - beta2.powi(self.t as i32);
-        for (idx, id) in store.ids().enumerate() {
-            let g = grads.grad(id);
-            let m = &mut self.m[idx];
-            let v = &mut self.v[idx];
-            for ((mi, vi), &gi) in m
-                .data_mut()
-                .iter_mut()
-                .zip(v.data_mut().iter_mut())
-                .zip(g.data().iter())
-            {
-                *mi = beta1 * *mi + (1.0 - beta1) * gi;
-                *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
-            }
-            let value = store.value_mut(id);
-            for ((p, &mi), &vi) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                *p -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * *p);
-            }
+        let update = self.begin_step();
+        for ((value, (m, v)), g) in store.values_mut().zip(self.moments_mut()).zip(grads.grads()) {
+            update.apply(value, m, v, g);
         }
         grads.zero();
     }

@@ -79,6 +79,12 @@ impl ParamStore {
         &mut self.values[id.0]
     }
 
+    /// Every parameter's value, in param-id order, for callers that
+    /// update each parameter separately.
+    pub fn values_mut(&mut self) -> std::slice::IterMut<'_, Matrix> {
+        self.values.iter_mut()
+    }
+
     /// Debug name of a parameter.
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]

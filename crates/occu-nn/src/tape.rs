@@ -145,6 +145,17 @@ impl GradBuffer {
         &self.grads[id.0]
     }
 
+    /// Every parameter's gradient, in param-id order.
+    pub fn grads(&self) -> &[Matrix] {
+        &self.grads
+    }
+
+    /// Every parameter's gradient, in param-id order, for callers that
+    /// split the work per parameter.
+    pub fn grads_mut(&mut self) -> &mut [Matrix] {
+        &mut self.grads
+    }
+
     fn accumulate(&mut self, id: ParamId, g: &Matrix) {
         self.grads[id.0].add_assign(g);
     }
@@ -168,19 +179,33 @@ impl GradBuffer {
     /// Global L2 norm of all gradients — for clipping and for
     /// monitoring training health.
     pub fn norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .map(|g| g.data().iter().map(|x| x * x).sum::<f32>())
-            .sum::<f32>()
-            .sqrt()
+        Self::norm_from_sum_sq(self.grads.iter().map(Self::sum_sq))
+    }
+
+    /// One parameter's term of [`GradBuffer::norm`]: the sum of its
+    /// gradient's squares, in element order.
+    pub fn sum_sq(g: &Matrix) -> f32 {
+        g.data().iter().map(|x| x * x).sum()
+    }
+
+    /// [`GradBuffer::norm`] from the per-parameter
+    /// [`GradBuffer::sum_sq`] terms, summed in param-id order.
+    pub fn norm_from_sum_sq(terms: impl IntoIterator<Item = f32>) -> f32 {
+        terms.into_iter().sum::<f32>().sqrt()
+    }
+
+    /// The factor [`GradBuffer::clip_norm`] scales every gradient by
+    /// when their global norm is `norm`, or `None` when it leaves them
+    /// as they are.
+    pub fn clip_scale(norm: f32, max_norm: f32) -> Option<f32> {
+        (norm > max_norm && norm > 0.0).then(|| max_norm / norm)
     }
 
     /// Scales the gradients so their global norm does not exceed
     /// `max_norm`.
     pub fn clip_norm(&mut self, max_norm: f32) {
-        let norm = self.norm();
-        if norm > max_norm && norm > 0.0 {
-            self.scale(max_norm / norm);
+        if let Some(s) = Self::clip_scale(self.norm(), max_norm) {
+            self.scale(s);
         }
     }
 }

@@ -3,10 +3,11 @@
 //! Entering a span pushes onto a thread-local stack (establishing the
 //! parent link); dropping the guard pops it and appends a finished
 //! [`SpanRecord`] to the thread's buffer. Buffers are registered with
-//! a global collector: live threads keep theirs registered, and a
-//! thread that exits (the rayon shim spawns scoped workers per call)
-//! flushes its records into a retired pool on the way out, so nothing
-//! is lost and the registry does not grow with dead threads.
+//! a global collector: live threads (the rayon shim's parked workers
+//! among them) keep theirs registered, and a thread that exits (a
+//! scoped thread, a server worker at shutdown) flushes its records
+//! into a retired pool on the way out, so nothing is lost and the
+//! registry does not grow with dead threads.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
