@@ -6,48 +6,25 @@
 //! ```
 //!
 //! Subcommands: `fig2 fig4 fig5 fig45 fig6 fig7 table4 table5 table6
-//! ablation aggr device-gen perf kernels plan quant obs-overhead all`.
-//! `--quick` shrinks
-//! dataset sizes and epochs for smoke runs; `--device <name>` restricts
-//! the multi-device experiments to one GPU (useful for piecewise
-//! archive runs) and also accepts a device-spec JSON path; `perf`
-//! times training at several worker counts and writes a throughput
-//! JSON report (`--out <path>`, default perf_report.json); `kernels`
-//! times the blocked GEMM kernels against the naive oracles and fails
-//! when the blocked path regresses (default out
-//! reports/kernel_perf.json);
-//! `obs-overhead` measures the cost of enabling observability (both
-//! the training span/metric layer and the serving-path request
-//! telemetry, via back-to-back in-process serve passes with telemetry
-//! off and on) and fails when either exceeds its budget. All
-//! subcommands accept `--trace-out <spans.jsonl>`,
-//! `--metrics-out <metrics.json>`, and `--log-level <level>`.
+//! ablation aggr device-gen all`. `--quick` shrinks dataset sizes and
+//! epochs for smoke runs; `--device <name>` restricts the multi-device
+//! experiments to one GPU (useful for piecewise archive runs) and also
+//! accepts a device-spec JSON path. All subcommands accept
+//! `--trace-out <spans.jsonl>`, `--metrics-out <metrics.json>`, and
+//! `--log-level <level>`.
 //!
-//! The serving layer's correctness checks (hot reload under
-//! concurrent traffic, stale-plan detection, tenant throttling, the
-//! `/metrics` stage telemetry) are cargo tests in
-//! `occu-serve/tests/serve_integration.rs`; its cost per cold
-//! prediction is perfbench's `serve_cold` workload.
+//! `repro` measures no speed. The exactness checks (blocked and SIMD
+//! GEMM against their oracles, plan against tape, int8 across ISAs
+//! and against f32) are cargo tests; perfbench measures throughput
+//! per layer; the constant speed floors are the opt-in tests in
+//! `occu-bench/tests/speed_floors.rs`.
 //!
 //! ## Exit codes
 //!
-//! Usage mistakes (including a flag `repro` does not know) exit 2.
-//! Pipeline failures print one `error:` line
-//! and exit with the `OccuError` code for the failure class: 3 io,
-//! 4 parse, 5 shape, 6 config, 7 data. `obs-overhead` exits 1 when
-//! the measured overhead blows its budget or (full runs) when the
-//! per-stage serve percentiles fail to account for the end-to-end
-//! median within 10%; `kernels`
-//! exits 1 when the blocked GEMM regresses against the naive oracle;
-//! `plan` exits 1 when any zoo model's compiled plan diverges bitwise
-//! from the tape interpreter, or (full runs) when the plan executor's
-//! median-pass throughput falls below its speedup gate; `quant` exits 1
-//! when any zoo model's int8 absolute error drifts more than 0.5
-//! occupancy points from f32, when (full SIMD runs) the aggregate
-//! int8 speedup falls
-//! below 1.5x, or when `--compare <report.json>` finds int8
-//! predictions whose bits differ from a prior run's (the cross-ISA
-//! stability check against an `OCCU_FORCE_SCALAR=1` rerun).
+//! Usage mistakes (including a subcommand or flag `repro` does not
+//! know) exit 2. Pipeline failures print one `error:` line and exit
+//! with the `OccuError` code for the failure class: 3 io, 4 parse,
+//! 5 shape, 6 config, 7 data.
 
 #![warn(clippy::unwrap_used)]
 
@@ -250,179 +227,6 @@ fn run_aggr(quick: bool) {
     println!();
 }
 
-/// Writes a JSON report to `out`, creating parent directories. The
-/// clobber guard runs here too — every caller validates early (so a
-/// bad `--out` fails before the expensive study), but the write
-/// itself re-checks so no future report writer can skip the guard.
-fn write_report(out: &str, json: &str) -> Result<(), OccuError> {
-    occu_bench::validate_out_path(out)?;
-    if let Some(dir) = std::path::Path::new(out).parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).io_context(dir.display().to_string())?;
-    }
-    std::fs::write(out, json).io_context(out)?;
-    println!("wrote {out}");
-    println!();
-    Ok(())
-}
-
-fn run_perf(quick: bool, args: &[String]) -> Result<(), CliError> {
-    let scale = scale_of(quick);
-    // `--workers 1,2,4` overrides the host-derived ladder (useful for
-    // recording multi-worker rows from constrained containers).
-    let counts: Vec<usize> = match flag_value(args, "--workers")? {
-        Some(list) => list
-            .split(',')
-            .map(|w| {
-                w.trim()
-                    .parse()
-                    .map_err(|_| format!("--workers: '{w}' is not an integer"))
-            })
-            .collect::<Result<_, String>>()?,
-        None => occu_bench::perf::default_worker_counts(),
-    };
-    if counts.is_empty() || counts.contains(&0) {
-        return Err(OccuError::config("--workers", "worker counts must be positive").into());
-    }
-    // Validate the output target *before* the expensive study so a
-    // clobber mistake fails in milliseconds, not minutes.
-    let out = flag_value(args, "--out")?.unwrap_or("perf_report.json");
-    occu_bench::validate_out_path(out)?;
-    let rep = occu_bench::perf_study(scale, &counts, 51);
-    print!("{}", occu_bench::render_perf(&rep));
-    let json = serde_json::to_string_pretty(&rep).expect("perf report serializes");
-    write_report(out, &json)?;
-    Ok(())
-}
-
-/// `repro plan` — the compiled-plan gate: bitwise plan-vs-interpreter
-/// exactness on every zoo model plus a direct model-level throughput
-/// comparison. Quick runs still enforce exactness but treat the
-/// (noisy) timing as advisory; the full run gates the speedup.
-fn run_plan(quick: bool, args: &[String]) -> Result<(), CliError> {
-    let out = flag_value(args, "--out")?.unwrap_or("reports/plan_perf.json");
-    occu_bench::validate_out_path(out)?;
-    let rep = occu_bench::plan_study(54);
-    print!("{}", occu_bench::render_plan(&rep));
-    let json = serde_json::to_string_pretty(&rep).expect("plan report serializes");
-    write_report(out, &json)?;
-    let failures = rep.gate_failures(!quick);
-    if !failures.is_empty() {
-        for f in &failures {
-            occu_obs::error!("plan: {f}");
-        }
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
-/// `repro quant` — the quantized-inference gate: per-model int8
-/// accuracy drift vs f32 (≤0.5 occupancy pp, always enforced) plus an aggregate
-/// int8-over-f32 throughput gate on SIMD hosts (full runs only;
-/// scalar hosts carry no speedup promise). `--compare <report.json>`
-/// additionally asserts this run's int8 prediction bits match a prior
-/// run's — rerun under `OCCU_FORCE_SCALAR=1` to prove the dispatched
-/// and scalar int8 kernels agree bitwise.
-fn run_quant(quick: bool, args: &[String]) -> Result<(), CliError> {
-    let out = flag_value(args, "--out")?.unwrap_or("reports/quant_perf.json");
-    occu_bench::validate_out_path(out)?;
-    let rep = occu_bench::quant_study(quick, 55);
-    print!("{}", occu_bench::render_quant(&rep));
-    let json = serde_json::to_string_pretty(&rep).expect("quant report serializes");
-    write_report(out, &json)?;
-    let mut failures = rep.gate_failures(!quick);
-    if let Some(path) = flag_value(args, "--compare")? {
-        let prior = std::fs::read_to_string(path).io_context(path)?;
-        let prior: occu_bench::QuantPerfReport = serde_json::from_str(&prior)
-            .map_err(|e| OccuError::parse(path, e.to_string()))?;
-        let mismatches = rep.bitwise_mismatches(&prior);
-        if mismatches.is_empty() {
-            println!(
-                "bitwise: {} models identical across {} and {}",
-                rep.models, rep.quant_isa, prior.quant_isa
-            );
-            println!();
-        }
-        failures.extend(
-            mismatches.into_iter().map(|m| format!("int8 bits diverged across ISAs: {m}")),
-        );
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            occu_obs::error!("quant: {f}");
-        }
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
-fn run_kernels(quick: bool, args: &[String]) -> Result<(), CliError> {
-    let out = flag_value(args, "--out")?.unwrap_or("reports/kernel_perf.json");
-    occu_bench::validate_out_path(out)?;
-    let rep = occu_bench::kernel_study(quick, 53);
-    print!("{}", occu_bench::render_kernels(&rep));
-    let json = serde_json::to_string_pretty(&rep).expect("kernel report serializes");
-    write_report(out, &json)?;
-    let failures = rep.gate_failures();
-    if !failures.is_empty() {
-        for f in &failures {
-            occu_obs::error!("kernels: {f}");
-        }
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
-fn run_obs_overhead(quick: bool, args: &[String]) -> Result<(), CliError> {
-    let scale = scale_of(quick);
-    let reps = if quick { 2 } else { 3 };
-    let out = flag_value(args, "--out")?.unwrap_or("reports/obs_overhead.json");
-    occu_bench::validate_out_path(out)?;
-    let mut rep = occu_bench::obs_overhead_study(scale, reps, 52);
-    // Serving-path telemetry overhead: the same in-process serve pass
-    // with request telemetry off and on, best-of-N per mode.
-    let (serve_requests, serve_conc, serve_reps) =
-        if quick { (2_000, 4, 2) } else { (20_000, 8, 3) };
-    occu_bench::serve_overhead_study(&mut rep, serve_requests, serve_conc, serve_reps)?;
-    print!("{}", occu_bench::render_obs_overhead(&rep));
-    let json = serde_json::to_string_pretty(&rep).expect("overhead report serializes");
-    write_report(out, &json)?;
-    let mut over_budget = false;
-    if !rep.within_budget() {
-        occu_obs::error!(
-            "obs-overhead: factor {:.3}x exceeds the {:.1}x budget",
-            rep.overhead_factor,
-            rep.budget_factor
-        );
-        over_budget = true;
-    }
-    if !rep.serve_within_budget() {
-        occu_obs::error!(
-            "obs-overhead: serve telemetry factor {:.3}x exceeds the {:.2}x budget",
-            rep.serve_overhead_factor,
-            rep.serve_budget_factor
-        );
-        // Quick passes are too short to gate on a 5% margin; the
-        // full run enforces it.
-        over_budget |= !quick;
-    }
-    if !rep.serve_attribution_ok() {
-        occu_obs::error!(
-            "obs-overhead: stage-sum p50 {:.1} us vs total p50 {:.1} us (ratio {:.3}) is outside 1 +/- {:.2}",
-            rep.serve_stage_sum_p50_us,
-            rep.serve_total_p50_us,
-            rep.serve_attribution_ratio(),
-            occu_bench::SERVE_ATTRIBUTION_TOLERANCE
-        );
-        // Like the budget, the 10% attribution bound needs the full
-        // run's sample count.
-        over_budget |= !quick;
-    }
-    if over_budget {
-        std::process::exit(1);
-    }
-    Ok(())
-}
-
 fn run_device_generalization(quick: bool) {
     let scale = scale_of(quick);
     let rows = occu_core::experiments::device_generalization(scale, 50);
@@ -476,10 +280,8 @@ fn finish_obs(trace: Option<String>, metrics: Option<String>) -> Result<(), Occu
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: repro [fig2|fig4|fig5|fig45|fig6|fig7|table4|table5|table6|ablation|aggr|device-gen|perf|kernels|plan|quant|obs-overhead|all] [--quick] [--device <name-or-json>] [--out perf_report.json]");
+    eprintln!("usage: repro [fig2|fig4|fig5|fig45|fig6|fig7|table4|table5|table6|ablation|aggr|device-gen|all] [--quick] [--device <name-or-json>]");
     eprintln!("observability: --trace-out spans.jsonl --metrics-out metrics.json --log-level info");
-    eprintln!("plan: --out reports/plan_perf.json  (bitwise plan-vs-interpreter gate + throughput gate)");
-    eprintln!("quant: --out reports/quant_perf.json --compare <prior.json>  (int8 accuracy-drift + speedup gate; --compare checks cross-ISA bitwise stability)");
     std::process::exit(2);
 }
 
@@ -498,11 +300,6 @@ fn try_main(cmd: &str, quick: bool, args: &[String]) -> Result<(), CliError> {
         "ablation" => run_ablation(quick),
         "aggr" => run_aggr(quick),
         "device-gen" => run_device_generalization(quick),
-        "perf" => run_perf(quick, args)?,
-        "kernels" => run_kernels(quick, args)?,
-        "plan" => run_plan(quick, args)?,
-        "quant" => run_quant(quick, args)?,
-        "obs-overhead" => run_obs_overhead(quick, args)?,
         "all" => {
             run_fig2();
             run_fig6();
@@ -530,15 +327,7 @@ fn try_main(cmd: &str, quick: bool, args: &[String]) -> Result<(), CliError> {
 
 /// Flags that take a value; their values are excluded from
 /// subcommand detection. `--quick` is the only switch.
-const VALUE_FLAGS: &[&str] = &[
-    "--device",
-    "--out",
-    "--workers",
-    "--compare",
-    "--trace-out",
-    "--metrics-out",
-    "--log-level",
-];
+const VALUE_FLAGS: &[&str] = &["--device", "--trace-out", "--metrics-out", "--log-level"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -25,13 +25,16 @@ fn assert_clean_failure(out: &Output, code: i32, needle: &str) {
 fn usage_errors_exit_2() {
     assert_clean_failure(&repro(&["figure-nine"]), 2, "unknown experiment");
     // Retired subcommands and the flags only they read are usage errors.
-    assert_clean_failure(&repro(&["loadgen"]), 2, "unknown experiment");
-    assert_clean_failure(&repro(&["fleet"]), 2, "unknown experiment");
-    for flag in ["--url", "--requests", "--concurrency", "--telemetry", "--rungs", "--zipf", "--seed"] {
-        assert_clean_failure(&repro(&["perf", flag, "1"]), 2, "unknown flag");
+    for cmd in ["loadgen", "fleet", "perf", "kernels", "plan", "quant", "obs-overhead"] {
+        assert_clean_failure(&repro(&[cmd]), 2, "unknown experiment");
+    }
+    for flag in [
+        "--url", "--requests", "--concurrency", "--telemetry", "--rungs", "--zipf", "--seed", "--out", "--workers",
+        "--compare",
+    ] {
+        assert_clean_failure(&repro(&["fig7", flag, "1"]), 2, "unknown flag");
     }
     assert_clean_failure(&repro(&["fig4", "--device"]), 2, "--device expects a value");
-    assert_clean_failure(&repro(&["perf", "--workers", "two,4"]), 2, "not an integer");
 }
 
 #[test]
@@ -50,40 +53,8 @@ fn corrupt_device_json_exits_4() {
 }
 
 #[test]
-fn zero_workers_exit_6() {
-    assert_clean_failure(&repro(&["perf", "--quick", "--workers", "0"]), 6, "--workers");
-}
-
-#[test]
 fn bad_log_level_exits_6() {
     assert_clean_failure(&repro(&["fig7", "--quick", "--log-level", "shouty"]), 6, "--log-level");
-}
-
-/// The clobber guard fires before the study runs, so these fail in
-/// milliseconds even without `--quick`-sized work behind them.
-#[test]
-fn out_clobber_guard_exits_6() {
-    let dir = std::env::temp_dir().join("repro_clobber_guard");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    // An existing file that is not a JSON report must be refused.
-    let victim = dir.join("notes.json");
-    std::fs::write(&victim, "irreplaceable lab notes\n").expect("write");
-    let out = repro(&["perf", "--out", victim.to_str().expect("utf8")]);
-    assert_clean_failure(&out, 6, "refusing to overwrite");
-
-    // So must a target without a .json extension — for every report
-    // writer, not just perf.
-    let out = repro(&["plan", "--out", "plan_perf.txt"]);
-    assert_clean_failure(&out, 6, ".json");
-    let out = repro(&["obs-overhead", "--out", "overhead.csv"]);
-    assert_clean_failure(&out, 6, ".json");
-}
-
-#[test]
-fn perf_usage_errors_exit_2() {
-    assert_clean_failure(&repro(&["perf", "--workers", "many"]), 2, "not an integer");
-    assert_clean_failure(&repro(&["perf", "--out"]), 2, "expects a value");
 }
 
 #[test]

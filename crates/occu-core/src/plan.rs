@@ -104,7 +104,7 @@ impl DnnOccu {
     /// [`Self::compile_plan`] with the weight matmuls lowered to the
     /// given numeric tier. `Precision::F32` keeps the bitwise
     /// plan-vs-interpreter contract; `Int8` is an accuracy-budgeted
-    /// tier (see `repro quant`).
+    /// tier (see the int8 drift test in `tests/plan_equivalence.rs`).
     pub fn compile_plan_with(
         &self,
         n_nodes: usize,

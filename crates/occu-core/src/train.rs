@@ -735,6 +735,11 @@ mod tests {
             model
         };
         let silent = fit();
+        // Recording off (no other test in this binary switches it on):
+        // a fit leaves it off and records nothing.
+        assert!(!occu_obs::enabled());
+        assert!(occu_obs::take_spans().is_empty(), "a silent fit recorded spans");
+        assert!(occu_obs::metrics_snapshot().get("train.loss").is_none(), "a silent fit recorded metrics");
         occu_obs::enable();
         let traced = fit();
         occu_obs::disable();

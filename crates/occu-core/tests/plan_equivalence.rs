@@ -10,16 +10,20 @@
 //!
 //! The suite must also pass with `OCCU_FORCE_SCALAR=1` (the scalar
 //! GEMM fallback): both paths call the same dispatched kernels, so
-//! the ISA choice cancels out of the comparison. CI runs it both
-//! ways via `repro plan`.
+//! the ISA choice cancels out of the comparison. The zoo test reruns
+//! that way in a child process, which also checks that the f32 and
+//! int8 plans predict the same bits on the scalar kernels as on the
+//! dispatched ones.
 
 use occu_core::dataset::make_sample;
 use occu_core::features::{DEGREE_BUCKETS, EDGE_FEAT_DIM, GLOBAL_FEAT_DIM, NODE_FEAT_DIM, SPD_CAP};
 use occu_core::gnn::{DnnOccu, DnnOccuConfig};
-use occu_core::{FeaturizedGraph, OccuPredictor};
+use occu_core::{FeaturizedGraph, OccuPredictor, Precision};
 use occu_gpusim::DeviceSpec;
 use occu_models::ModelId;
 use occu_tensor::{Matrix, SeededRng};
+use rayon::prelude::*;
+use std::sync::OnceLock;
 
 fn graph(id: ModelId) -> FeaturizedGraph {
     make_sample(id, id.default_config(), &DeviceSpec::a100()).features
@@ -44,6 +48,90 @@ fn plan_matches_interpreter_bitwise_on_every_zoo_model() {
             "occupancy mapping diverged on {id:?}"
         );
     }
+}
+
+/// One zoo model's profiled occupancy and its f32 and int8 plan
+/// predictions.
+struct PlanPredictions {
+    id: ModelId,
+    truth: f32,
+    f32_pred: f32,
+    i8_pred: f32,
+}
+
+impl PlanPredictions {
+    /// The line the forced-scalar child prints and the parent compares.
+    fn bits_line(&self) -> String {
+        format!("plan-bits {} f32 {:#010x} int8 {:#010x}", self.id.name(), self.f32_pred.to_bits(), self.i8_pred.to_bits())
+    }
+}
+
+/// Every zoo model through f32 and int8 plans at paper width (hidden
+/// 256, the regime the int8 tier is for), seed 55, computed once per
+/// process, one model per parallel item.
+fn paper_width_plan_predictions() -> &'static [PlanPredictions] {
+    static PREDICTIONS: OnceLock<Vec<PlanPredictions>> = OnceLock::new();
+    PREDICTIONS.get_or_init(|| {
+        let model = DnnOccu::new(DnnOccuConfig::paper(), 55);
+        let device = DeviceSpec::a100();
+        ModelId::ALL
+            .par_iter()
+            .map(|&id| {
+                let sample = make_sample(id, id.default_config(), &device);
+                let fg = &sample.features;
+                PlanPredictions {
+                    id,
+                    truth: sample.occupancy,
+                    f32_pred: model.compile_plan_for_with(fg, Precision::F32).predict(fg),
+                    i8_pred: model.compile_plan_for_with(fg, Precision::Int8).predict(fg),
+                }
+            })
+            .collect()
+    })
+}
+
+/// Quantization may round, not wander: per zoo model, the int8 plan's
+/// absolute error against the profiled occupancy stays within half an
+/// occupancy point (0.005) of the f32 plan's. Absolute rather than
+/// relative error, because the small RNN models' truths sit near the
+/// MRE floor, where a tiny shift reads as tens of relative points.
+#[test]
+fn int8_error_stays_within_half_a_point_of_f32_on_every_zoo_model() {
+    const MAX_DRIFT_PP: f64 = 0.5;
+    let mut drifted = Vec::new();
+    for p in paper_width_plan_predictions() {
+        eprintln!("{}", p.bits_line());
+        let error = |pred: f32| f64::from((pred - p.truth).abs());
+        let drift_pp = (error(p.i8_pred) - error(p.f32_pred)) * 100.0;
+        if drift_pp.abs() > MAX_DRIFT_PP {
+            drifted.push(format!("{:?}: {drift_pp:+.3} pp (truth {}, f32 {}, int8 {})", p.id, p.truth, p.f32_pred, p.i8_pred));
+        }
+    }
+    assert!(drifted.is_empty(), "int8 drifted more than {MAX_DRIFT_PP} pp from f32:\n{}", drifted.join("\n"));
+}
+
+/// The scalar kernels are the oracle every SIMD tier must reproduce.
+/// A child process with `OCCU_FORCE_SCALAR=1` (read once per process)
+/// reruns the zoo plan-vs-tape test and the int8 test above, whose
+/// printed prediction bits must equal this process's.
+#[test]
+fn forced_scalar_rerun_matches_bitwise() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(&exe)
+        .args([
+            "--exact",
+            "plan_matches_interpreter_bitwise_on_every_zoo_model",
+            "int8_error_stays_within_half_a_point_of_f32_on_every_zoo_model",
+            "--nocapture",
+        ])
+        .env("OCCU_FORCE_SCALAR", "1")
+        .output()
+        .expect("rerun the test binary");
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success() && stdout.contains("2 passed"), "forced-scalar rerun:\n{stdout}\n{stderr}");
+    let scalar: Vec<&str> = stderr.lines().filter(|l| l.starts_with("plan-bits ")).collect();
+    let own: Vec<String> = paper_width_plan_predictions().iter().map(PlanPredictions::bits_line).collect();
+    assert_eq!(scalar, own, "plan predictions differ between forced-scalar and {}", occu_tensor::active_isa().name());
 }
 
 /// Ragged hidden widths that do not fill SIMD registers evenly —

@@ -40,11 +40,9 @@ pub mod device;
 pub mod kernel;
 pub mod lowering;
 pub mod occupancy;
-pub mod power;
 pub mod profile;
 
 pub use device::DeviceSpec;
 pub use kernel::{Kernel, KernelCategory};
 pub use occupancy::{achieved_occupancy, theoretical_occupancy, OccupancyLimits};
-pub use power::{energy_report, EnergyReport, PowerSpec};
 pub use profile::{csv_field, profile_graph, split_csv_row, KernelProfile, ProfileReport};

@@ -36,8 +36,9 @@
 //! Recording is **off by default**: [`enabled`] is a single relaxed
 //! atomic load, and every instrumentation site in the workspace
 //! checks it (or goes through [`span!`], which does) before touching
-//! any state, so the disabled path is a near-no-op. `repro
-//! obs-overhead` enforces this with a measured budget.
+//! any state, so the disabled path is a near-no-op. The opt-in
+//! speed floors in `occu-bench/tests/speed_floors.rs` hold a fit with
+//! recording on to a measured budget.
 
 pub mod flight;
 pub mod log;

@@ -40,7 +40,8 @@ use occu_tensor::{attention_into, matmul_i8_into, Matrix, PackedB, PackedI8, Scr
 /// `F32` is the default and keeps the bitwise plan-vs-interpreter
 /// contract. `Int8` trades bit equality for integer-factor
 /// throughput and smaller weights, and is validated against an
-/// accuracy budget instead (`repro quant`).
+/// accuracy budget instead (the int8 drift test in
+/// `occu-core/tests/plan_equivalence.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Full-precision packed-panel matmuls; bitwise-equal to the

@@ -93,8 +93,8 @@ pub struct ServeConfig {
     /// that do (tests, trace captures) should turn this on.
     pub trace_spans: bool,
     /// Master switch for request telemetry (stage timing, rolling
-    /// windows, flight recorder). `false` is the overhead baseline
-    /// measured by `repro obs-overhead`.
+    /// windows, flight recorder). `false` is the overhead baseline of
+    /// the serve-telemetry speed floor in `occu-bench/tests/speed_floors.rs`.
     pub record: bool,
 }
 
@@ -1233,7 +1233,6 @@ fn mirror_gauges(state: &ServerState) {
     occu_obs::gauge("tensor.dispatch.scalar").set(disp.scalar as f64);
     occu_obs::gauge("tensor.dispatch.avx2").set(disp.avx2 as f64);
     occu_obs::gauge("tensor.dispatch.avx512").set(disp.avx512 as f64);
-    occu_obs::gauge("tensor.dispatch.neon").set(disp.neon as f64);
     // Same thing for the int8 quantized GEMM tier, which has its own
     // (narrower) ISA ladder: scalar / avx2-maddubs / avx512-vnni.
     let qdisp = occu_tensor::quant_dispatch_counts();
@@ -1390,7 +1389,6 @@ fn render_statusz(state: &ServerState) -> Result<(u16, &'static str, Vec<u8>), S
     dispatch.insert("scalar".to_string(), num(disp.scalar as f64));
     dispatch.insert("avx2".to_string(), num(disp.avx2 as f64));
     dispatch.insert("avx512".to_string(), num(disp.avx512 as f64));
-    dispatch.insert("neon".to_string(), num(disp.neon as f64));
     let qdisp = occu_tensor::quant_dispatch_counts();
     dispatch.insert("i8_scalar".to_string(), num(qdisp.scalar as f64));
     dispatch.insert("i8_avx2".to_string(), num(qdisp.avx2 as f64));

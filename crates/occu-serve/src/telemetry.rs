@@ -23,8 +23,8 @@
 //!
 //! When telemetry is disabled (config `record = false`) the context
 //! is inert: no clock reads, no window writes, no trace allocation —
-//! that is the baseline the `repro obs-overhead` gate compares
-//! against.
+//! that is the baseline the serve-telemetry speed floor
+//! (`occu-bench/tests/speed_floors.rs`) compares against.
 
 use occu_obs::span::{next_span_id, now_us, submit};
 use occu_obs::{FlightRecorder, RequestTrace, SpanRecord, StageWindows};

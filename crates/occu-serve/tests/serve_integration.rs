@@ -207,6 +207,12 @@ fn telemetry_off_still_serves_with_empty_traces() {
         metrics.contains("serve_request_total_us_count 0"),
         "windows must stay empty with record=false: {metrics}"
     );
+    for stage in occu_serve::STAGE_NAMES {
+        assert!(
+            metrics.contains(&format!("serve_stage_us_count{{stage=\"{stage}\"}} 0\n")),
+            "stage '{stage}' recorded samples with record=false: {metrics}"
+        );
+    }
     server.shutdown();
 }
 

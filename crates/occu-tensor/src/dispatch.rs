@@ -1,19 +1,20 @@
 //! Runtime CPU-feature dispatch for the SIMD kernels.
 //!
 //! The workspace compiles for the baseline target (x86-64 means SSE2
-//! only), so AVX2/NEON kernels cannot be selected at compile time
-//! without producing a binary that faults on older machines. Instead,
-//! the first kernel invocation probes the CPU once
-//! ([`std::arch::is_x86_feature_detected!`] on x86-64, the aarch64
-//! equivalent on ARM), caches the verdict in a [`OnceLock`], and every
-//! hot-path primitive branches on that cached [`Isa`]. The same binary
-//! therefore runs everywhere and uses the widest unit the host offers.
+//! only), so AVX2 kernels cannot be selected at compile time without
+//! producing a binary that faults on older machines. Instead, the
+//! first kernel invocation probes the CPU once
+//! ([`std::arch::is_x86_feature_detected!`]), caches the verdict in a
+//! [`OnceLock`], and every hot-path primitive branches on that cached
+//! [`Isa`]. The same binary therefore runs everywhere and uses the
+//! widest unit the host offers; non-x86 hosts run the scalar kernels.
 //!
 //! `OCCU_FORCE_SCALAR=1`, read once at first use, pins [`Isa::Scalar`]
 //! regardless of the CPU. The scalar kernels are the bitwise oracle — a
-//! forced-scalar run must reproduce the SIMD run exactly, which `repro
-//! kernels` and the proptests in `tests/proptests.rs` verify. Apart
-//! from that switch the choice follows the CPU features alone.
+//! forced-scalar run must reproduce the SIMD run exactly, which the
+//! proptests in `tests/proptests.rs` and the forced-scalar rerun in
+//! `occu-core/tests/plan_equivalence.rs` verify. Apart from that
+//! switch the choice follows the CPU features alone.
 //!
 //! When the CPU additionally reports AVX-512 (F and DQ), the GEMM
 //! micro-kernel is upgraded to the 16-lane paired-panel kernel — still
@@ -22,9 +23,8 @@
 //! throughput over the AVX2 kernel, whose 4×8 tile is port-limited.
 //!
 //! Per-ISA dispatch counters (one increment per dispatched primitive
-//! call, not per element) feed the `tensor.dispatch.{avx2,avx512,neon,
-//! scalar}` metrics that `occu-serve` exports and `repro kernels`
-//! reports.
+//! call, not per element) feed the `tensor.dispatch.{avx2,avx512,
+//! scalar}` metrics that `occu-serve` exports.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -42,9 +42,6 @@ pub enum Isa {
     /// (bitwise-equal to scalar). Row-wise primitives stay on the AVX2
     /// code — they are memory-bound and gain nothing from wider lanes.
     Avx512,
-    /// aarch64 NEON: 4-lane `f32`, mul-then-add (bitwise-equal to
-    /// scalar).
-    Neon,
 }
 
 impl Isa {
@@ -54,7 +51,6 @@ impl Isa {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
-            Isa::Neon => "neon",
         }
     }
 }
@@ -79,12 +75,6 @@ fn detect() -> Isa {
                 return Isa::Avx512;
             }
             return Isa::Avx2;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return Isa::Neon;
         }
     }
     Isa::Scalar
@@ -130,9 +120,8 @@ fn detect_quant() -> QuantIsa {
     // Follow the f32 verdict so OCCU_FORCE_SCALAR pins both ladders
     // with one switch, then probe the integer units on top.
     match active_isa() {
-        Isa::Scalar | Isa::Neon => QuantIsa::Scalar,
-        #[allow(unreachable_patterns)] // x86-only arms on non-x86 targets
-        _ => {
+        Isa::Scalar => QuantIsa::Scalar,
+        Isa::Avx2 | Isa::Avx512 => {
             #[cfg(target_arch = "x86_64")]
             {
                 if std::arch::is_x86_feature_detected!("avx512f")
@@ -158,7 +147,6 @@ pub fn quant_isa() -> QuantIsa {
 static DISPATCH_SCALAR: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_AVX2: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_AVX512: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_NEON: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_I8_SCALAR: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_I8_AVX2: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_I8_VNNI: AtomicU64 = AtomicU64::new(0);
@@ -170,7 +158,6 @@ pub(crate) fn note_dispatch(isa: Isa) {
         Isa::Scalar => &DISPATCH_SCALAR,
         Isa::Avx2 => &DISPATCH_AVX2,
         Isa::Avx512 => &DISPATCH_AVX512,
-        Isa::Neon => &DISPATCH_NEON,
     };
     c.fetch_add(1, Ordering::Relaxed);
 }
@@ -186,19 +173,17 @@ pub struct DispatchCounts {
     pub avx2: u64,
     /// Calls that ran the AVX-512 paired-panel GEMM kernel.
     pub avx512: u64,
-    /// Calls that ran the NEON kernels.
-    pub neon: u64,
 }
 
 impl DispatchCounts {
     /// Sum over all ISAs.
     pub fn total(&self) -> u64 {
-        self.scalar + self.avx2 + self.avx512 + self.neon
+        self.scalar + self.avx2 + self.avx512
     }
 
     /// Calls that took any SIMD path.
     pub fn simd(&self) -> u64 {
-        self.avx2 + self.avx512 + self.neon
+        self.avx2 + self.avx512
     }
 }
 
@@ -208,7 +193,6 @@ pub fn dispatch_counts() -> DispatchCounts {
         scalar: DISPATCH_SCALAR.load(Ordering::Relaxed),
         avx2: DISPATCH_AVX2.load(Ordering::Relaxed),
         avx512: DISPATCH_AVX512.load(Ordering::Relaxed),
-        neon: DISPATCH_NEON.load(Ordering::Relaxed),
     }
 }
 
@@ -260,7 +244,6 @@ mod tests {
         assert_eq!(Isa::Scalar.name(), "scalar");
         assert_eq!(Isa::Avx2.name(), "avx2");
         assert_eq!(Isa::Avx512.name(), "avx512");
-        assert_eq!(Isa::Neon.name(), "neon");
     }
 
     #[test]
@@ -271,7 +254,7 @@ mod tests {
         let after = dispatch_counts();
         assert!(after.scalar > before.scalar);
         assert!(after.avx2 > before.avx2);
-        assert_eq!(after.total(), after.scalar + after.avx2 + after.avx512 + after.neon);
+        assert_eq!(after.total(), after.scalar + after.avx2 + after.avx512);
     }
 
     #[test]

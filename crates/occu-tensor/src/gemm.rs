@@ -11,7 +11,7 @@
 //! buffers, keeping an `MR x NR` accumulator tile in registers.
 //!
 //! The micro-kernel itself is dispatched at runtime via
-//! [`micro_kernel_for`]: explicit AVX2 (or NEON) kernels from
+//! [`micro_kernel_for`]: explicit AVX2 or AVX-512 kernels from
 //! [`crate::simd`] when the CPU has them, otherwise the scalar
 //! fallback below — plain safe Rust over `chunks_exact` slices, which
 //! LLVM auto-vectorizes to whatever the *compile-time* target allows
@@ -191,16 +191,6 @@ pub(crate) fn micro_kernel_for(isa: Isa) -> KernelSel {
             return KernelSel {
                 isa: Isa::Avx2,
                 kernel: crate::simd::x86::micro_kernel_avx2,
-                panel_step: 1,
-            };
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if isa == Isa::Neon && std::arch::is_aarch64_feature_detected!("neon") {
-            return KernelSel {
-                isa,
-                kernel: crate::simd::arm::micro_kernel_neon,
                 panel_step: 1,
             };
         }
@@ -417,11 +407,6 @@ mod tests {
         assert_eq!(sel.panel_step, 1);
         // Requesting an ISA this arch/host lacks degrades down the
         // ladder rather than handing out an uncallable kernel.
-        #[cfg(not(target_arch = "aarch64"))]
-        {
-            let sel = micro_kernel_for(Isa::Neon);
-            assert_eq!(sel.isa, Isa::Scalar);
-        }
         #[cfg(not(target_arch = "x86_64"))]
         {
             let sel = micro_kernel_for(Isa::Avx2);

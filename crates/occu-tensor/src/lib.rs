@@ -16,7 +16,7 @@
 //!   needed by the neural-network layers in `occu-nn` and by
 //!   `occu-plan`'s compiled plans.
 //! * Runtime CPU-feature dispatch ([`active_isa`], [`dispatch_counts`])
-//!   selecting explicit AVX2/NEON micro-kernels for the GEMM inner
+//!   selecting explicit AVX2/AVX-512 micro-kernels for the GEMM inner
 //!   loop and the fused row primitives, with `OCCU_FORCE_SCALAR=1`
 //!   pinning the bitwise scalar oracle.
 //!

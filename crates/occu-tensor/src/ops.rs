@@ -76,8 +76,7 @@ fn lane_sumsq_dev_scalar(xs: &[f32], mean: f32) -> f32 {
     combine_lanes(&lanes)
 }
 
-/// The ISA the row-wise primitives run on. The NEON port currently
-/// covers only the GEMM kernel, so it maps down to scalar.
+/// The ISA the row-wise primitives run on.
 #[inline]
 pub(crate) fn rowwise_isa() -> Isa {
     match dispatch::active_isa() {
@@ -86,7 +85,7 @@ pub(crate) fn rowwise_isa() -> Isa {
         // little there (only the GEMM micro-kernel is 512-bit); the
         // exp-based passes keep one 8-lane twin of the scalar code.
         Isa::Avx2 | Isa::Avx512 => Isa::Avx2,
-        Isa::Neon | Isa::Scalar => Isa::Scalar,
+        Isa::Scalar => Isa::Scalar,
     }
 }
 
@@ -245,7 +244,7 @@ impl Matrix {
 
     /// `matmul_into` with the blocked kernel's ISA pinned instead of
     /// taken from the runtime dispatch table. Bench/test hook: lets
-    /// `repro kernels` time the scalar oracle and the SIMD kernel in
+    /// the speed floors time the scalar oracle and the SIMD kernel in
     /// one process, and lets the proptests compare them bitwise. An
     /// ISA the host lacks degrades to scalar.
     pub fn matmul_into_isa(&self, other: &Matrix, out: &mut Matrix, isa: Isa) {
@@ -960,7 +959,7 @@ mod tests {
         let mut scalar = Matrix::zeros(41, 51);
         a.matmul_into_isa(&b, &mut scalar, Isa::Scalar);
         assert_eq!(scalar, a.naive_matmul(&b));
-        for isa in [Isa::Avx2, Isa::Avx512, Isa::Neon] {
+        for isa in [Isa::Avx2, Isa::Avx512] {
             let mut out = Matrix::zeros(41, 51);
             a.matmul_into_isa(&b, &mut out, isa);
             assert_eq!(out, scalar, "{} kernel diverged from the scalar oracle", isa.name());

@@ -34,7 +34,8 @@
 //! VNNI outputs are bitwise-equal (verified by the ragged-shape
 //! proptests). Unlike the f32 tier this is *not* bitwise-equal to the
 //! f32 product: the quantized tier is validated against an accuracy
-//! budget (`repro quant`), not bit equality.
+//! budget (the int8 drift test in `occu-core/tests/plan_equivalence.rs`),
+//! not bit equality.
 
 use crate::dispatch::{note_quant_dispatch, quant_isa, QuantIsa};
 use crate::matrix::Matrix;

@@ -8,7 +8,7 @@
 //! `gemm.rs`/`ops.rs`:
 //!
 //! * The GEMM micro-kernels vectorize across the output columns — one
-//!   lane per output element (`NR = 8` for AVX2/NEON, two adjacent
+//!   lane per output element (`NR = 8` for AVX2, two adjacent
 //!   `NR`-panels at once for AVX-512) — while each lane still performs
 //!   a separate round-to-nearest multiply followed by a separate add,
 //!   in ascending `k` order. That is exactly the scalar
@@ -40,17 +40,14 @@
 //! the caller must guarantee the host CPU supports the named feature.
 //! The only callers are the dispatch sites in `gemm.rs`/`ops.rs`,
 //! which select these kernels strictly after
-//! `is_x86_feature_detected!` (or the aarch64 equivalent) succeeds.
-
-use crate::gemm::{MR, NR};
-use crate::ops::combine_lanes;
+//! `is_x86_feature_detected!` succeeds.
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use super::*;
     use crate::attention::{KEY_GROUP, LANES, ROWS};
+    use crate::gemm::{MR, NR};
     use crate::ops::{
-        exp_scalar, gelu_grad_scalar, gelu_scalar, sigmoid_scalar, tanh_scalar, ExpAct, EXP_HI,
+        combine_lanes, exp_scalar, gelu_grad_scalar, gelu_scalar, sigmoid_scalar, tanh_scalar, ExpAct, EXP_HI,
         EXP_LO, EXP_POLY, GELU_3K, GELU_C, GELU_K, LN2_HI, LN2_LO, ROUND_MAGIC,
     };
     use core::arch::x86_64::*;
@@ -712,63 +709,6 @@ pub(crate) mod x86 {
         }
         for (o, &v) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
             *o = (v - mean) * inv_std;
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod arm {
-    use super::*;
-    use core::arch::aarch64::*;
-
-    const _: () = assert!(NR == 8 && MR == 4, "NEON micro-kernel assumes a 4x8 tile");
-
-    /// NEON micro-kernel: the 8-wide panel is processed as two 4-lane
-    /// halves per accumulator row, each lane on the scalar
-    /// mul-then-add chain (bitwise-equal to the scalar kernel).
-    ///
-    /// # Safety
-    /// The host CPU must support NEON.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn micro_kernel_neon(
-        mr: usize,
-        nr: usize,
-        pa_strip: &[f32],
-        pb_panel: &[f32],
-        c: &mut [f32],
-        ldc: usize,
-    ) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (i, row) in acc.iter_mut().enumerate().take(mr) {
-            row[..nr].copy_from_slice(&c[i * ldc..i * ldc + nr]);
-        }
-        let mut lo = [
-            vld1q_f32(acc[0].as_ptr()),
-            vld1q_f32(acc[1].as_ptr()),
-            vld1q_f32(acc[2].as_ptr()),
-            vld1q_f32(acc[3].as_ptr()),
-        ];
-        let mut hi = [
-            vld1q_f32(acc[0].as_ptr().add(4)),
-            vld1q_f32(acc[1].as_ptr().add(4)),
-            vld1q_f32(acc[2].as_ptr().add(4)),
-            vld1q_f32(acc[3].as_ptr().add(4)),
-        ];
-        for (a, b) in pa_strip.chunks_exact(MR).zip(pb_panel.chunks_exact(NR)) {
-            let b_lo = vld1q_f32(b.as_ptr());
-            let b_hi = vld1q_f32(b.as_ptr().add(4));
-            for i in 0..MR {
-                let ai = vdupq_n_f32(a[i]);
-                lo[i] = vaddq_f32(lo[i], vmulq_f32(ai, b_lo));
-                hi[i] = vaddq_f32(hi[i], vmulq_f32(ai, b_hi));
-            }
-        }
-        for i in 0..MR {
-            vst1q_f32(acc[i].as_mut_ptr(), lo[i]);
-            vst1q_f32(acc[i].as_mut_ptr().add(4), hi[i]);
-        }
-        for (i, row) in acc.iter().enumerate().take(mr) {
-            c[i * ldc..i * ldc + nr].copy_from_slice(&row[..nr]);
         }
     }
 }

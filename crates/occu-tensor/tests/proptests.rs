@@ -276,11 +276,7 @@ proptest! {
 
     #[test]
     fn blocked_matmul_is_bitwise_equal_to_naive((a, b) in blocked_threshold_pair()) {
-        // Not a tolerance check: the packed cache-blocked kernel keeps
-        // every output element on one ascending-k accumulation chain,
-        // so it must reproduce the scalar oracle bit for bit on both
-        // sides of the dispatch thresholds.
-        prop_assert_eq!(a.matmul(&b), a.naive_matmul(&b));
+        check_blocked_against_naive(&a, &b)?;
     }
 
     #[test]
@@ -297,24 +293,7 @@ proptest! {
 
     #[test]
     fn simd_kernels_are_bitwise_equal_to_scalar_on_ragged_shapes((a, b) in ragged_simd_pair()) {
-        // Every bitwise-exact ISA must reproduce the forced-scalar
-        // blocked kernel exactly — ISAs absent on this host degrade
-        // down the dispatch ladder and the property holds trivially.
-        let (m, _) = a.shape();
-        let n = b.cols();
-        let mut scalar = Matrix::zeros(m, n);
-        a.matmul_into_isa(&b, &mut scalar, Isa::Scalar);
-        let bt = b.transpose();
-        let mut scalar_tb = Matrix::zeros(m, n);
-        a.matmul_transb_into_isa(&bt, &mut scalar_tb, Isa::Scalar);
-        for isa in [Isa::Avx2, Isa::Avx512, Isa::Neon] {
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_into_isa(&b, &mut out, isa);
-            prop_assert_eq!(&out, &scalar, "{} matmul diverged from scalar", isa.name());
-            let mut out_tb = Matrix::zeros(m, n);
-            a.matmul_transb_into_isa(&bt, &mut out_tb, isa);
-            prop_assert_eq!(&out_tb, &scalar_tb, "{} matmul_transb diverged from scalar", isa.name());
-        }
+        check_isas_against_scalar(&a, &b)?;
     }
 
     #[test]
@@ -397,6 +376,76 @@ proptest! {
         let mut l = Matrix::zeros(m.rows(), 1);
         m.layernorm_rows_into(1e-5, &mut l);
         prop_assert!(l.data().iter().all(|&x| x == 0.0));
+    }
+}
+
+/// Not a tolerance check: the packed cache-blocked kernel keeps every
+/// output element on one ascending-k accumulation chain, so it must
+/// reproduce the scalar oracle bit for bit on both sides of the
+/// dispatch thresholds.
+fn check_blocked_against_naive(a: &Matrix, b: &Matrix) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.matmul(b), a.naive_matmul(b));
+    Ok(())
+}
+
+/// The dispatched kernel and every bitwise-exact ISA must reproduce the
+/// forced-scalar blocked kernel exactly, for `a·b` and `a·bᵀ`. ISAs
+/// absent on this host degrade down the dispatch ladder and the
+/// property holds trivially.
+fn check_isas_against_scalar(a: &Matrix, b: &Matrix) -> Result<(), TestCaseError> {
+    let (m, n) = (a.rows(), b.cols());
+    let mut scalar = Matrix::zeros(m, n);
+    a.matmul_into_isa(b, &mut scalar, Isa::Scalar);
+    prop_assert_eq!(&a.matmul(b), &scalar, "dispatched {} matmul diverged from scalar", occu_tensor::active_isa().name());
+    let bt = b.transpose();
+    let mut scalar_tb = Matrix::zeros(m, n);
+    a.matmul_transb_into_isa(&bt, &mut scalar_tb, Isa::Scalar);
+    for isa in [Isa::Avx2, Isa::Avx512] {
+        let mut out = Matrix::zeros(m, n);
+        a.matmul_into_isa(b, &mut out, isa);
+        prop_assert_eq!(&out, &scalar, "{} matmul diverged from scalar", isa.name());
+        let mut out_tb = Matrix::zeros(m, n);
+        a.matmul_transb_into_isa(&bt, &mut out_tb, isa);
+        prop_assert_eq!(&out_tb, &scalar_tb, "{} matmul_transb diverged from scalar", isa.name());
+    }
+    Ok(())
+}
+
+/// The GEMMs the model multiplies on a 48-node, 64-edge graph (ANEE
+/// projections, Graphormer QKV and FFN, first head layer) at the fast
+/// width 64 and the paper width 256, with node/edge/global feature
+/// widths 95/5/11, plus the 64/128/256 reference cubes.
+const MODEL_SHAPES: [(&str, usize, usize, usize); 15] = [
+    ("fast:anee.w_u", 48, 95, 64),
+    ("fast:anee.w_e", 64, 5, 64),
+    ("fast:anee.w_m", 64, 64, 64),
+    ("fast:graphormer.qkv", 48, 64, 64),
+    ("fast:graphormer.ffn1", 48, 64, 128),
+    ("fast:head.l0", 1, 75, 128),
+    ("paper:anee.w_u", 48, 95, 256),
+    ("paper:anee.w_e", 64, 5, 256),
+    ("paper:anee.w_m", 64, 256, 256),
+    ("paper:graphormer.qkv", 48, 256, 256),
+    ("paper:graphormer.ffn1", 48, 256, 512),
+    ("paper:head.l0", 1, 267, 512),
+    ("cube:64", 64, 64, 64),
+    ("cube:128", 128, 128, 128),
+    ("cube:256", 256, 256, 256),
+];
+
+/// The two properties above at every shape the model multiplies, as
+/// fixed inputs beside the random ones.
+#[test]
+fn model_shapes_are_bitwise_exact_against_both_oracles() {
+    let mut rng = occu_tensor::SeededRng::new(53);
+    for (label, m, k, n) in MODEL_SHAPES {
+        let a = Matrix::randn(m, k, 1.0, &mut rng);
+        let b = Matrix::randn(k, n, 1.0, &mut rng);
+        for check in [check_blocked_against_naive, check_isas_against_scalar] {
+            if let Err(e) = check(&a, &b) {
+                panic!("{label} ({m}x{k}x{n}): {e}");
+            }
+        }
     }
 }
 
